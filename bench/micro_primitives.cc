@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common.h"
+#include "core/block_cache.h"
 #include "fs/disk_image.h"
 #include "fs/simfs.h"
 #include "hw/cpu.h"
@@ -160,13 +161,31 @@ void BM_SimFsSequentialRead(benchmark::State& state) {
 BENCHMARK(BM_SimFsSequentialRead);
 
 void BM_BufferChecksum(benchmark::State& state) {
-  mem::Buffer b = mem::Buffer::deterministic(9, 0, 1 << 20);
+  const auto size = static_cast<std::size_t>(state.range(0));
+  const mem::Buffer b = mem::Buffer::deterministic(9, 0, size);
   for (auto _ : state) {
     benchmark::DoNotOptimize(b.checksum());
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * (1 << 20));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * size));
 }
-BENCHMARK(BM_BufferChecksum);
+BENCHMARK(BM_BufferChecksum)->Arg(64 << 10)->Arg(1 << 20);
+
+// One daemon stream chunk's worth of cache traffic: insert a 64 KiB entry
+// (evicting the LRU one once full), then hit it. The hit re-hashes the
+// entry, so this is the per-chunk cost of the cache's integrity check.
+void BM_BlockCacheInsertLookup(benchmark::State& state) {
+  constexpr std::size_t kEntry = 64 << 10;
+  core::BlockCache cache(16 * kEntry, "bench-host");
+  const mem::Buffer payload = mem::Buffer::deterministic(5, 0, kEntry);
+  std::uint64_t off = 0;
+  for (auto _ : state) {
+    cache.insert("dn", "blk", off, payload);
+    benchmark::DoNotOptimize(cache.lookup("dn", "blk", off, kEntry));
+    off += kEntry;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * kEntry));
+}
+BENCHMARK(BM_BlockCacheInsertLookup);
 
 void BM_DeterministicPayload(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,5 +1,6 @@
 #include "apps/mapreduce.h"
 
+#include <utility>
 #include <vector>
 
 #include "hdfs/wire.h"
@@ -26,8 +27,9 @@ sim::Task map_task(Cluster& cluster, hdfs::DfsClient& client,
     // Map-side user code: tokenize + emit.
     co_await client.vm().run_vcpu(cm.per_byte(chunk.size(), cfg.map_cycles_per_byte),
                                   hw::CycleCategory::kClientApp);
+    const std::uint8_t* bytes = std::as_const(chunk).data();
     for (std::size_t i = 0; i < chunk.size(); ++i) {
-      const std::uint8_t key = chunk[i];
+      const std::uint8_t key = bytes[i];
       ++shuffle[static_cast<std::size_t>(key) %
                 static_cast<std::size_t>(cfg.reducers)][key];
     }

@@ -44,12 +44,16 @@ class BlockCache {
 
   // Returns the bytes for exactly [offset, offset+len) of (dn, block) when
   // a single cached entry covers the range, bumping it to MRU. Returns an
-  // empty buffer on miss (len > 0 guarantees hits are non-empty).
+  // empty buffer on miss (len > 0 guarantees hits are non-empty). A hit is
+  // a slice sharing the entry's storage; the entry is re-hashed against
+  // its insert-time checksum first.
   mem::Buffer lookup(const std::string& dn, const std::string& block,
                      std::uint64_t offset, std::uint64_t len);
 
   // Caches [offset, offset+data.size()) of (dn, block), evicting LRU
   // entries to stay within capacity. Oversized payloads are not cached.
+  // The entry shares `data`'s storage when `data` views all of it and is a
+  // private copy otherwise, so an entry never pins a larger parent buffer.
   // `tenant` attributes the residency for per-tenant caps (§11); empty
   // means unattributed (counts toward no cap). Returns true when the
   // bytes are resident afterwards (fresh insert or same-chop refresh) —

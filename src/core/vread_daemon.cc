@@ -18,6 +18,23 @@ std::uint64_t cache_key(const fs::DiskImage& image, std::uint32_t inode) {
 }
 // Control-message sizes on the wire (request/response headers).
 constexpr std::uint64_t kCtrlBytes = 96;
+
+// Label of the transport span for daemon-to-daemon bytes.
+const char* wire_label(VReadDaemon::Transport t) {
+  return t == VReadDaemon::Transport::kRdma ? "rdma-wire" : "vread-net-wire";
+}
+
+// Daemon-to-daemon bytes crossing the LAN, recorded as a kTransport span.
+sim::Task wire_transfer(sim::Simulation* sim, hw::Lan* lan, hw::HostId src,
+                        hw::HostId dst, std::uint64_t bytes, const char* wire_name,
+                        trace::Ctx ctx) {
+  auto& tr = trace::tracer();
+  const sim::SimTime t0 = sim->now();
+  co_await lan->transfer(src, dst, bytes);
+  if (tr.enabled())
+    tr.record(ctx, trace::SpanKind::kTransport, wire_name,
+              tr.track("lan-wire", "lan"), t0, sim->now(), bytes);
+}
 }  // namespace
 
 Status DaemonConfig::Validate() const {
@@ -1053,7 +1070,8 @@ sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
       continue;
     }
     // Payload crosses the wire, then receive-side CPU.
-    co_await host_.lan().transfer(holder->host_.lan_id(), host_.lan_id(), n);
+    co_await wire_transfer(&host_.sim(), &host_.lan(), holder->host_.lan_id(),
+                           host_.lan_id(), n, wire_label(transport), ctx);
     if (transport == Transport::kRdma) {
       co_await host_.cpu().consume(tid, cm.rdma_cqe, CycleCategory::kRdma, ctx);
     } else {
@@ -1231,18 +1249,12 @@ struct RemoteChunk {
 };
 
 // Wire hop for one chunk: the RoCE NIC DMAs the payload; arrival is
-// signalled through the receiving daemon's mailbox. `wire_name` labels the
-// transport span ("rdma-wire" / "vread-net-wire").
+// signalled through the receiving daemon's mailbox.
 sim::Task remote_wire_hop(sim::Simulation* sim, hw::Lan* lan, hw::HostId src,
                           hw::HostId dst, std::uint64_t bytes,
                           sim::Mailbox<RemoteChunk>* arrivals, RemoteChunk chunk,
                           const char* wire_name, trace::Ctx ctx) {
-  auto& tr = trace::tracer();
-  const sim::SimTime t0 = sim->now();
-  co_await lan->transfer(src, dst, bytes);
-  if (tr.enabled())
-    tr.record(ctx, trace::SpanKind::kTransport, wire_name,
-              tr.track("lan-wire", "lan"), t0, sim->now(), bytes);
+  co_await wire_transfer(sim, lan, src, dst, bytes, wire_name, ctx);
   arrivals->send(std::move(chunk));
 }
 }  // namespace
@@ -1461,12 +1473,14 @@ sim::Task VReadDaemon::serve_remote_peer_tier(virt::ShmChannel& channel, hw::Thr
             };
             co_await peer->run_on_control(std::move(chunk_job));
             if (!ostatus.ok()) {
-              co_await host_.lan().transfer(peer->host_.lan_id(), host_.lan_id(),
-                                            kCtrlBytes);
+              co_await wire_transfer(&host_.sim(), &host_.lan(), peer->host_.lan_id(),
+                                     host_.lan_id(), kCtrlBytes, wire_label(transport),
+                                     ctx);
               status = ostatus;
             } else {
-              co_await host_.lan().transfer(peer->host_.lan_id(), host_.lan_id(),
-                                            obuf.size());
+              co_await wire_transfer(&host_.sim(), &host_.lan(), peer->host_.lan_id(),
+                                     host_.lan_id(), obuf.size(), wire_label(transport),
+                                     ctx);
               if (transport == Transport::kRdma) {
                 co_await host_.cpu().consume(tid, cm.rdma_cqe, CycleCategory::kRdma,
                                              ctx);
@@ -1535,7 +1549,7 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
   VReadDaemon* peer = d.peer;
   const std::uint64_t peer_vfd = d.peer_vfd;
   const Transport transport = effective_transport(tid, ctx);
-  const char* wire_name = transport == Transport::kRdma ? "rdma-wire" : "vread-net-wire";
+  const char* wire_name = wire_label(transport);
 
   // Request out: one WR / one user-space TCP message.
   if (transport == Transport::kRdma) {
@@ -1652,6 +1666,7 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
   // Coalescing leader: retain the payload as it lands so completion can
   // fan the whole window out to every attached waiter in one shot.
   mem::Buffer collected;
+  if (fill) collected.reserve(fill->len);
   std::uint64_t delivered = 0;
   for (;;) {
     RemoteChunk chunk = co_await arrivals.recv();

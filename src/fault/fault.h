@@ -3,8 +3,9 @@
 // Every layer the paper's degradation argument touches exposes *named
 // fault points* (see `points` below): loop-mount refresh failures and
 // stale-dentry windows in fs::LoopMount, request timeout/corruption on the
-// shared-memory ring in virt::ShmChannel, daemon restart (descriptor-table
-// loss), remote-peer unreachable and RDMA-link-down in core::VReadDaemon.
+// shared-memory ring in virt::ShmChannel, block-cache entry corruption in
+// core::BlockCache, daemon restart (descriptor-table loss), remote-peer
+// unreachable and RDMA-link-down in core::VReadDaemon.
 // A fault point is a single `should_fire(name)` call on the code path; the
 // registry decides — deterministically (every Nth hit, after a warmup,
 // with a fire budget) or probabilistically from a seeded SplitMix64 stream
@@ -39,6 +40,10 @@ inline constexpr const char* kMountStaleLookup = "fs.loop.stale_lookup";
 inline constexpr const char* kShmTimeout = "virt.shm.timeout";
 // virt::ShmChannel::call(): the response fails validation on arrival.
 inline constexpr const char* kShmCorrupt = "virt.shm.corrupt";
+// core::BlockCache::lookup() hit: one byte of the entry flips in memory
+// (in a private copy, so buffers sharing the entry's storage keep their
+// bytes); the per-hit checksum must catch it and drop the entry.
+inline constexpr const char* kCacheCorrupt = "core.cache.corrupt";
 // core::VReadDaemon restarts before serving a request: the descriptor
 // table is lost (clients' vfds dangle -> kVReadErrBadFd on next use).
 inline constexpr const char* kDaemonCrash = "core.daemon.crash";

@@ -66,7 +66,7 @@ class DiskImage {
   }
 
   mem::Buffer read(std::uint64_t offset, std::uint64_t len) const {
-    mem::Buffer b(len);
+    mem::Buffer b = mem::Buffer::for_overwrite(len);  // read() writes every byte
     read(offset, b.data(), len);
     return b;
   }

@@ -144,7 +144,8 @@ mem::Buffer read_file_range(const DiskImage& image, const Inode& inode,
                             std::uint64_t offset, std::uint64_t len) {
   if (offset > inode.size) throw FsError("read offset past end of file");
   len = std::min(len, inode.size - offset);
-  mem::Buffer out(len);
+  // for_each_segment covers all of [offset, offset+len) or throws.
+  mem::Buffer out = mem::Buffer::for_overwrite(len);
   std::uint64_t written = 0;
   for_each_segment(inode, offset, len, [&](std::uint64_t img_off, std::uint64_t n) {
     image.read(img_off, out.data() + written, n);

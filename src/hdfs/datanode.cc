@@ -1,5 +1,7 @@
 #include "hdfs/datanode.h"
 
+#include <utility>
+
 #include "fault/fault.h"
 #include "hdfs/wire.h"
 
@@ -21,7 +23,8 @@ sim::Task recv_frame(TcpSocket conn, mem::Buffer& out, CycleCategory cat,
                      trace::Ctx ctx) {
   mem::Buffer len_raw;
   co_await conn.recv_exact(2, len_raw, cat, ctx);
-  const std::uint16_t len = static_cast<std::uint16_t>(len_raw[0] | len_raw[1] << 8);
+  const std::uint8_t* raw = std::as_const(len_raw).data();
+  const std::uint16_t len = static_cast<std::uint16_t>(raw[0] | raw[1] << 8);
   co_await conn.recv_exact(len, out, cat, ctx);
 }
 

@@ -141,8 +141,10 @@ class ShmChannel {
     const std::uint64_t rid = req.id;
     auto mbox = std::make_unique<sim::Mailbox<Chunk>>(guest_.host().sim());
     pending_[rid] = mbox.get();
+    const std::uint64_t want = req.len;
     requests_.send(std::move(req));
     out = ShmResponse{};
+    out.data.reserve(want);  // chunks land in one buffer, each byte copied once
     for (;;) {
       Chunk c = co_await mbox->recv();
       out.id = c.req_id;

@@ -1,9 +1,10 @@
 // Fault-injection & graceful-degradation coverage: the fault registry's
 // deterministic/probabilistic semantics, and one end-to-end test per fault
 // class (mount refresh failure, stale dentry lookup, shm timeout, shm
-// corruption, daemon crash, remote peer down, RDMA link down) proving the
-// degradation contract — byte-identical contents via bounded retries and
-// socket fallback, with every step observable through counters.
+// corruption, block-cache corruption, daemon crash, remote peer down, RDMA
+// link down) proving the degradation contract — byte-identical contents
+// via bounded retries and socket fallback, with every step observable
+// through counters.
 //
 // All suites here are named Fault* so CI can re-run exactly this file
 // under a global VREAD_FAULT_SCHEDULE chaos baseline (ctest -R '^Fault').
@@ -13,10 +14,12 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/cluster.h"
 #include "apps/dfsio.h"
+#include "core/block_cache.h"
 #include "core/libvread.h"
 #include "fault/fault.h"
 #include "mem/buffer.h"
@@ -34,6 +37,7 @@ using mem::Buffer;
 using testutil::chaos_baseline;
 using testutil::idle;
 using testutil::local_bed;
+using testutil::racked_bed;
 using testutil::RegistryGuard;
 using testutil::remote_bed;
 
@@ -263,6 +267,79 @@ TEST(FaultShmCorrupt, RetryAbsorbsCorruptResponsesWithoutFallback) {
     EXPECT_EQ(c->client("client")->vread_fallback_reads(), 0u);
     EXPECT_EQ(c->libvread("client")->retries_exhausted(), 0u);
   }
+}
+
+// --- core.cache.corrupt: a cached entry rots between insert and hit ---
+
+// host2's cache holds the only cached copy of a one-chunk file; client3's
+// read asks host2 for it through the peer tier, and the byte flips on that
+// hit. The per-hit checksum must drop the entry, the removal observer must
+// take host2 out of the copyset, and client3 must still get the right
+// bytes from the owner.
+TEST(FaultCacheCorrupt, CorruptHitIsDroppedUnpublishedAndReadStaysExact) {
+  RegistryGuard guard;
+  const std::uint64_t bytes = 256 * 1024;  // one daemon stream chunk: one entry
+  const std::uint64_t expected = Buffer::deterministic(82, 0, bytes).checksum();
+  auto c = racked_bed(3, /*hosts_per_rack=*/3, 0, 0);
+  c->preload_file("/f", bytes, 82, {{"datanode1"}});
+  core::DaemonConfig dc;
+  dc.workers = 4;
+  dc.peer_cache.enabled = true;
+  c->enable_vread(dc);
+  c->drop_all_caches();
+  auto read = [&](const std::string& client) {
+    DfsIoResult r;
+    c->run_job(TestDfsIo::read(*c, client, "/f", 1 << 20, r));
+    return r.checksum;
+  };
+  ASSERT_EQ(read("client2"), expected);  // host2 caches and publishes
+  c->daemon("host1")->cache().clear();   // the owner's copy leaves the copyset
+  core::BlockCache& host2 = c->daemon("host2")->cache();
+  ASSERT_GT(host2.bytes(), 0u);
+
+  fault::registry().arm(fault::points::kCacheCorrupt, {.every = 1, .max_fires = 1});
+  EXPECT_EQ(read("client3"), expected);
+  EXPECT_EQ(fault::registry().fires(fault::points::kCacheCorrupt), 1u);
+  EXPECT_EQ(host2.integrity_failures(), 1u);
+  EXPECT_EQ(host2.bytes(), 0u);  // the entry is gone
+  if (chaos_baseline()) return;
+  const core::DaemonStats s3 = c->daemon("host3")->stats_snapshot();
+  EXPECT_GT(s3.peer_dir_hits, 0u);  // the directory still named host2...
+  EXPECT_EQ(s3.peer_fetches, 0u);   // ...which answered "gone"
+  EXPECT_GT(s3.peer_fallbacks, 0u);
+
+  // With host1's and host3's fresh copies dropped too, a lookup that still
+  // found host2 would count a directory hit.
+  c->daemon("host1")->cache().clear();
+  c->daemon("host3")->cache().clear();
+  EXPECT_EQ(read("client3"), expected);
+  const core::DaemonStats after = c->daemon("host3")->stats_snapshot();
+  EXPECT_GT(after.peer_lookups, s3.peer_lookups);
+  EXPECT_EQ(after.peer_dir_hits, s3.peer_dir_hits);
+}
+
+// The entry, the inserting caller and an earlier hit all share one
+// storage; the flip lands in the entry's private copy, is caught, and
+// nobody else's bytes change.
+TEST(FaultCacheCorrupt, CheckFiresOnSharedStorage) {
+  RegistryGuard guard;
+  const std::uint64_t n = 64 * 1024;
+  core::BlockCache cache(1 << 20, "shared-host");
+  std::vector<std::string> removed;
+  cache.set_removal_observer(
+      [&](const std::string&, const std::string& block) { removed.push_back(block); });
+  const Buffer payload = Buffer::deterministic(83, 0, n);
+  ASSERT_TRUE(cache.insert("dn", "blk", 0, payload));
+  const Buffer earlier = cache.lookup("dn", "blk", 0, n);
+  ASSERT_EQ(earlier.data(), payload.data());
+
+  fault::registry().arm(fault::points::kCacheCorrupt, {.every = 1, .max_fires = 1});
+  EXPECT_TRUE(cache.lookup("dn", "blk", 0, n).empty());
+  EXPECT_EQ(cache.integrity_failures(), 1u);
+  EXPECT_EQ(removed, std::vector<std::string>{"blk"});
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(payload, Buffer::deterministic(83, 0, n));
+  EXPECT_EQ(earlier, payload);
 }
 
 // --- core.daemon.crash: descriptor table lost mid-stream ---

@@ -1,8 +1,16 @@
-// Unit tests for buffers and the page cache.
+// Unit tests for buffers, the payload checksum and the page cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "core/block_cache.h"
 #include "mem/buffer.h"
+#include "mem/checksum.h"
 #include "mem/page_cache.h"
+#include "sim/random.h"
 
 namespace vread::mem {
 namespace {
@@ -41,6 +49,115 @@ TEST(Buffer, EmptyChecksumIsFnvBasis) {
   Buffer e;
   EXPECT_EQ(e.checksum(), 0xcbf29ce484222325ULL);
   EXPECT_TRUE(e.empty());
+}
+
+TEST(Checksum, AnySplitMatchesOneUpdate) {
+  const Buffer data = Buffer::deterministic(11, 0, 4099);
+  const std::uint64_t whole = Checksum().update(data.data(), data.size()).digest();
+  EXPECT_EQ(whole, data.checksum());
+  sim::Rng rng(5);
+  // Fixed piece sizes around the 32-byte stripe, then random splits.
+  std::vector<std::vector<std::size_t>> plans = {{1}, {31}, {32}, {33}, {7, 0, 1, 31, 64}};
+  for (int r = 0; r < 20; ++r) {
+    std::vector<std::size_t> plan;
+    for (int i = 0; i < 12; ++i) plan.push_back(rng.uniform(1, 100));
+    plans.push_back(plan);
+  }
+  for (const std::vector<std::size_t>& plan : plans) {
+    Checksum sum;
+    std::size_t pos = 0;
+    for (std::size_t i = 0; pos < data.size(); ++i) {
+      const std::size_t n = std::min(plan[i % plan.size()], data.size() - pos);
+      sum.update(data.data() + pos, n);
+      pos += n;
+    }
+    EXPECT_EQ(sum.digest(), whole);
+  }
+}
+
+TEST(Checksum, DetectsASingleByteFlipAtEveryOffset) {
+  // 100 bytes: three whole stripes (every lane) plus a 4-byte carried tail.
+  const Buffer clean = Buffer::deterministic(13, 0, 100);
+  const std::uint64_t sum = clean.checksum();
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    Buffer flipped = clean;
+    flipped[i] ^= 0x01;
+    EXPECT_NE(flipped.checksum(), sum) << "offset " << i;
+  }
+  EXPECT_EQ(clean.checksum(), sum);  // the copies never touched `clean`
+}
+
+TEST(Checksum, ZeroPaddingChangesTheDigest) {
+  Buffer data = Buffer::deterministic(17, 0, 40);
+  const std::uint64_t sum = data.checksum();
+  data.resize(64);  // zero bytes appended
+  EXPECT_NE(data.checksum(), sum);
+  EXPECT_NE(Buffer(32).checksum(), Buffer(31).checksum());
+}
+
+TEST(Buffer, SliceSharesStorageAndMutationCopies) {
+  Buffer parent = Buffer::deterministic(19, 0, 256);
+  const Buffer view = parent.slice(64, 64);
+  EXPECT_EQ(view.data(), std::as_const(parent).data() + 64);  // no copy
+  parent[64] ^= 0xff;  // copy-on-write: the slice keeps its bytes
+  parent.append(Buffer::deterministic(19, 256, 16));
+  EXPECT_EQ(view, Buffer::deterministic(19, 64, 64));
+  EXPECT_NE(parent.slice(64, 64), view);
+  Buffer child = view;
+  child.resize(128);  // growing a shared view copies too
+  EXPECT_EQ(view.size(), 64u);
+  EXPECT_EQ(view, Buffer::deterministic(19, 64, 64));
+}
+
+TEST(Buffer, AppendSharesIntoEmptyAndCopiesIntoReserved) {
+  const Buffer part = Buffer::deterministic(37, 0, 128);
+  Buffer joined;
+  joined.append(part);
+  EXPECT_EQ(std::as_const(joined).data(), part.data());
+  Buffer reserved;
+  reserved.reserve(256);
+  reserved.append(part);
+  reserved.append(Buffer::deterministic(37, 128, 128));
+  EXPECT_NE(std::as_const(reserved).data(), part.data());
+  EXPECT_EQ(reserved, Buffer::deterministic(37, 0, 256));
+  EXPECT_EQ(part, Buffer::deterministic(37, 0, 128));
+}
+
+TEST(Buffer, SliceOutOfRangeThrows) {
+  const Buffer b = Buffer::deterministic(23, 0, 100);
+  EXPECT_THROW(b.slice(101, 0), std::out_of_range);
+  EXPECT_THROW(b.slice(50, 51), std::out_of_range);
+  EXPECT_THROW(b.slice(1, SIZE_MAX), std::out_of_range);
+  EXPECT_EQ(b.slice(100, 0).size(), 0u);
+  EXPECT_EQ(b.slice(0, 100), b);
+  // Bounds are the view's, not the shared storage's.
+  const Buffer mid = b.slice(10, 20);
+  EXPECT_THROW(mid.slice(0, 21), std::out_of_range);
+  EXPECT_EQ(mid.slice(0, 20), Buffer::deterministic(23, 10, 20));
+}
+
+TEST(Buffer, CacheHitSurvivesMutationOfTheInsertedBuffer) {
+  core::BlockCache cache(1 << 20, "cow-host");
+  Buffer payload = Buffer::deterministic(29, 0, 4096);
+  ASSERT_TRUE(cache.insert("dn", "blk", 0, payload));
+  const Buffer before = cache.lookup("dn", "blk", 0, 4096);
+  EXPECT_EQ(before.data(), std::as_const(payload).data());  // shared, not copied
+  payload[0] ^= 0xff;
+  payload.resize(8192);
+  const Buffer hit = cache.lookup("dn", "blk", 0, 4096);
+  EXPECT_EQ(hit, Buffer::deterministic(29, 0, 4096));
+  EXPECT_EQ(before, hit);
+  EXPECT_EQ(cache.integrity_failures(), 0u);
+}
+
+TEST(Buffer, CacheCopiesASliceRatherThanPinItsParent) {
+  core::BlockCache cache(1 << 20, "pin-host");
+  const Buffer parent = Buffer::deterministic(31, 0, 64 * 1024);
+  const Buffer piece = parent.slice(4096, 4096);
+  ASSERT_TRUE(cache.insert("dn", "blk", 4096, piece));
+  const Buffer hit = cache.lookup("dn", "blk", 4096, 4096);
+  EXPECT_EQ(hit, piece);
+  EXPECT_NE(hit.data(), piece.data());  // its own 4 KB, not a view of 64 KB
 }
 
 TEST(PageCache, MissThenHit) {
