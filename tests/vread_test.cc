@@ -5,11 +5,19 @@
 // CPU cycles than vanilla).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <ostream>
+#include <vector>
+
 #include "apps/cluster.h"
 #include "apps/dfsio.h"
 #include "core/libvread.h"
 #include "core/vread_daemon.h"
+#include "fault/fault.h"
+#include "hdfs/dfs_client.h"
 #include "mem/buffer.h"
+#include "sim/sync.h"
 #include "testutil.h"
 
 namespace vread::core {
@@ -265,6 +273,254 @@ TEST(VReadDeterminism, SameSeedSameCyclesAndTiming) {
                       bed.cluster.acct().group_total("host1")};
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---- serve-path event-order pin ----
+//
+// One small bed per daemon serve path, run with the dispatch digest on.
+// The constants pin the exact event order, so a refactor of the daemon's
+// read pipeline must reproduce them bit for bit. Re-record them only for
+// an intended model change, and say so in CHANGES.md.
+
+struct PinOutcome {
+  std::uint64_t checksum = 0;  // folded over every read in the bed
+  sim::SimTime now = 0;
+  std::uint64_t digest = 0;
+  bool operator==(const PinOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const PinOutcome& o) {
+  return os << "{" << o.checksum << "ULL, " << o.now << ", " << o.digest << "ULL}";
+}
+
+// `path` by value: spawned coroutines outlive the caller's temporaries.
+sim::Task pin_pread(hdfs::DfsClient* client, std::string path, std::uint64_t len,
+                    std::uint64_t* checksum, sim::Latch* done) {
+  std::unique_ptr<hdfs::DfsInputStream> in;
+  co_await client->open(path, in);
+  Buffer data;
+  co_await in->pread(0, len, data);
+  *checksum = data.size() == len ? data.checksum() : 0;
+  co_await in->close();
+  if (done != nullptr) done->count_down();
+}
+
+sim::Task pin_overlapping(Cluster* c, std::size_t readers, std::uint64_t len,
+                          std::vector<std::uint64_t>* sums) {
+  sim::Latch done(c->sim(), readers);
+  for (std::size_t i = 0; i < readers; ++i) {
+    c->sim().spawn(pin_pread(c->client("client"), "/f", len, &(*sums)[i], &done));
+  }
+  co_await done.wait();
+}
+
+constexpr std::uint64_t kPinBytes = 8 * 1024 * 1024;
+
+struct PinBed {
+  std::unique_ptr<Cluster> c;
+  std::uint64_t fold = 0;
+  explicit PinBed(std::unique_ptr<Cluster> cluster) : c(std::move(cluster)) {
+    c->sim().enable_dispatch_digest();
+  }
+  void enable(DaemonConfig dc) {
+    c->enable_vread(testutil::validated(dc));
+    c->drop_all_caches();
+  }
+  void add(std::uint64_t sum) { fold = fold * 1099511628211ULL + sum; }
+  void dfsio(const std::string& vm) {
+    DfsIoResult r;
+    c->sim().spawn(TestDfsIo::read(*c, vm, "/f", 1 << 20, r));
+    c->sim().run();
+    add(r.checksum);
+  }
+  void pread(const std::string& vm) {
+    std::uint64_t sum = 0;
+    c->run_job(pin_pread(c->client(vm), "/f", kPinBytes, &sum, nullptr));
+    add(sum);
+  }
+  void overlapping(std::size_t readers) {
+    std::vector<std::uint64_t> sums(readers, 0);
+    c->run_job(pin_overlapping(c.get(), readers, kPinBytes, &sums));
+    for (std::uint64_t s : sums) add(s);
+  }
+  PinOutcome outcome() const {
+    return PinOutcome{fold, c->sim().now(), c->sim().dispatch_digest()};
+  }
+};
+
+DaemonConfig pin_config(VReadDaemon::Transport t = VReadDaemon::Transport::kRdma,
+                        bool peer_tier = false) {
+  DaemonConfig dc;
+  dc.transport = t;
+  dc.workers = 4;
+  dc.peer_cache.enabled = peer_tier;
+  return dc;
+}
+
+hdfs::HedgeConfig pin_hedge() {
+  hdfs::HedgeConfig hc;
+  hc.enabled = true;
+  hc.min_delay = sim::us(100);
+  hc.max_delay = sim::us(200);
+  hc.warmup = 1u << 30;
+  return hc;
+}
+
+// Three hosts in one rack with the file on `replicas`.
+std::unique_ptr<Cluster> pin_racked(std::vector<std::string> replicas) {
+  auto c = testutil::racked_bed(3, 3, 0, 0);
+  c->preload_file("/f", kPinBytes, 52, {std::move(replicas)});
+  return c;
+}
+
+PinOutcome pin_local() {
+  PinBed b(testutil::local_bed(kPinBytes, 51));
+  b.enable(DaemonConfig{});
+  b.dfsio("client");
+  return b.outcome();
+}
+
+PinOutcome pin_local_coalesced() {
+  PinBed b(testutil::local_bed(kPinBytes, 51));
+  b.enable(pin_config());
+  b.overlapping(4);
+  return b.outcome();
+}
+
+PinOutcome pin_direct_read() {
+  PinBed b(testutil::local_bed(kPinBytes, 51));
+  DaemonConfig dc;
+  dc.direct_read = true;
+  b.enable(dc);
+  b.dfsio("client");
+  return b.outcome();
+}
+
+PinOutcome pin_remote(VReadDaemon::Transport t) {
+  PinBed b(testutil::remote_bed(kPinBytes, 51));
+  b.enable(DaemonConfig{.transport = t});
+  b.dfsio("client");
+  return b.outcome();
+}
+
+PinOutcome pin_remote_coalesced() {
+  PinBed b(testutil::remote_bed(kPinBytes, 51));
+  b.enable(pin_config());
+  b.overlapping(4);
+  return b.outcome();
+}
+
+// client2 misses everywhere (owner fallback); client3 then finds client2's
+// host in the copyset (peer hit).
+PinOutcome pin_peer_tier(VReadDaemon::Transport t, bool second_reader) {
+  PinBed b(pin_racked({"datanode1"}));
+  b.enable(pin_config(t, /*peer_tier=*/true));
+  b.pread("client2");
+  if (second_reader) b.pread("client3");
+  return b.outcome();
+}
+
+// A local read that the peer tier serves: client2's remote read seeds
+// host2's cache, host1 forgets its own copy, client1 reads locally.
+PinOutcome pin_local_peer_hit() {
+  PinBed b(pin_racked({"datanode1"}));
+  b.enable(pin_config(VReadDaemon::Transport::kTcp, /*peer_tier=*/true));
+  b.pread("client2");
+  b.c->daemon("host1")->cache().clear();
+  b.pread("client1");
+  return b.outcome();
+}
+
+PinOutcome pin_hedged(std::vector<std::string> replicas) {
+  PinBed b(pin_racked(std::move(replicas)));
+  b.enable(pin_config());
+  b.c->client("client1")->set_hedge(pin_hedge());
+  b.pread("client1");
+  b.pread("client1");
+  return b.outcome();
+}
+
+PinOutcome pin_hedged_peer_tier() {
+  auto c = testutil::racked_bed(4, 2, 0, 0);
+  c->preload_file("/f", kPinBytes, 52, {{"datanode1", "datanode2"}});
+  PinBed b(std::move(c));
+  b.enable(pin_config(VReadDaemon::Transport::kRdma, /*peer_tier=*/true));
+  b.pread("client3");
+  b.c->client("client4")->set_hedge(pin_hedge());
+  b.pread("client4");
+  return b.outcome();
+}
+
+// Seeded faults on every remote source: the fault points' evaluation
+// order is part of what the digest pins.
+PinOutcome pin_faults() {
+  PinBed b(pin_racked({"datanode1"}));
+  b.enable(pin_config(VReadDaemon::Transport::kRdma, /*peer_tier=*/true));
+  fault::registry().arm(fault::points::kPeerDown, testutil::prob(0.2));
+  fault::registry().arm(fault::points::kRdmaDown, testutil::prob(0.3));
+  fault::registry().arm(fault::points::kPeerCachePeerDown, testutil::prob(0.3));
+  b.pread("client2");
+  b.pread("client3");
+  b.c->client("client1")->set_hedge(pin_hedge());
+  b.pread("client1");
+  return b.outcome();
+}
+
+// The same faults on the whole-leg remote stream, with overlapping
+// readers so a failed fill fans out to its waiters.
+PinOutcome pin_stream_faults() {
+  PinBed b(testutil::remote_bed(kPinBytes, 51));
+  b.enable(pin_config());
+  fault::registry().arm(fault::points::kPeerDown, testutil::prob(0.2));
+  fault::registry().arm(fault::points::kRdmaDown, testutil::prob(0.3));
+  b.overlapping(3);
+  return b.outcome();
+}
+
+TEST(VReadServePin, EveryServePathKeepsItsEventOrder) {
+  if (testutil::chaos_baseline()) GTEST_SKIP() << "a global fault schedule reorders events";
+  using T = VReadDaemon::Transport;
+  struct Row {
+    const char* name;
+    std::function<PinOutcome()> run;
+    PinOutcome want;
+  };
+  const Row rows[] = {
+      {"local shortcut", pin_local, {13402269566769254246ULL, 55014460, 10157142534737607120ULL}},
+      {"overlapping local readers", pin_local_coalesced,
+       {7297561170272428080ULL, 113593943, 5111777259850522654ULL}},
+      {"direct read", pin_direct_read,
+       {13402269566769254246ULL, 79172284, 18308307497817278669ULL}},
+      {"remote stream rdma", [] { return pin_remote(T::kRdma); },
+       {13402269566769254246ULL, 55099668, 13641498601917540549ULL}},
+      {"remote stream tcp", [] { return pin_remote(T::kTcp); },
+       {13402269566769254246ULL, 56289846, 9647771479488103352ULL}},
+      {"overlapping remote readers", pin_remote_coalesced,
+       {7297561170272428080ULL, 102824926, 6032298652240660692ULL}},
+      {"peer tier owner fallback", [] { return pin_peer_tier(T::kRdma, false); },
+       {17052177788810381966ULL, 63405392, 12031048414896351339ULL}},
+      {"peer tier peer hit rdma", [] { return pin_peer_tier(T::kRdma, true); },
+       {16369137401535330776ULL, 86169244, 13794960444124765693ULL}},
+      {"peer tier peer hit tcp", [] { return pin_peer_tier(T::kTcp, true); },
+       {16369137401535330776ULL, 90442952, 15489318165432734083ULL}},
+      {"local read peer hit", pin_local_peer_hit,
+       {16369137401535330776ULL, 90178263, 5118727656250896797ULL}},
+      {"hedged local shortcut",
+       [] { return pin_hedged({"datanode1", "datanode2", "datanode3"}); },
+       {16369137401535330776ULL, 100276889, 5634356360473937061ULL}},
+      {"hedged remote stream", [] { return pin_hedged({"datanode2", "datanode3"}); },
+       {16369137401535330776ULL, 101364443, 13214521998056785863ULL}},
+      {"hedged peer tier", pin_hedged_peer_tier,
+       {16369137401535330776ULL, 99155571, 17102989620505879037ULL}},
+      {"seeded faults on the peer tier", pin_faults,
+       {104352387478049942ULL, 214226049, 7897912006300413158ULL}},
+      {"seeded faults on the remote stream", pin_stream_faults,
+       {15804448954587439886ULL, 84406852, 9270619254927063089ULL}},
+  };
+  for (const Row& row : rows) {
+    testutil::RegistryGuard guard;
+    EXPECT_EQ(row.run(), row.want) << row.name;
+  }
 }
 
 }  // namespace
