@@ -575,7 +575,7 @@ sim::Task VReadDaemon::handle(virt::ShmChannel& channel, hw::ThreadId tid,
                           d->block_name, "leg", req.len);
         }
       }
-      if (hedge_cancelled(req)) {
+      if (hedge_cancelled(req.cancel)) {
         // The winner finished while this leg sat in the dispatch queue:
         // nothing was charged, nothing to un-charge.
         co_await abort_cancelled(channel, tid, req, d->block_name, 0);
@@ -590,10 +590,18 @@ sim::Task VReadDaemon::handle(virt::ShmChannel& channel, hw::ThreadId tid,
         ~InflightGuard() { *v -= n; }
       } inflight_guard{&inflight_read_bytes_, req.len};
       inflight_read_bytes_ += req.len;
-      if (d->remote) {
-        co_await serve_remote_read(channel, tid, req, std::move(d));
+      if (!d->remote) {
+        co_await stream_chunks(channel, tid, req, *d, ChunkSource::kLocalMount);
+      } else if (peer_dir_ && cache_.enabled() && !config_.direct_read &&
+                 !d->peer_size_stale) {
+        // Cooperative tier on: serve chunk-at-a-time so each piece can come
+        // from this daemon's own cache, a copyset holder, or the owner. A
+        // descriptor whose size snapshot was invalidated skips the tier —
+        // its local range check could be wrong, so the owner-checked
+        // stream path takes over.
+        co_await stream_chunks(channel, tid, req, *d, ChunkSource::kPeerTier);
       } else {
-        co_await stream_local_read(channel, tid, req, *d);
+        co_await serve_remote_read(channel, tid, req, *d);
       }
       read_latency_.observe(static_cast<std::uint64_t>(host_.sim().now() - t0));
       co_return;  // responses already streamed into the ring
@@ -680,27 +688,38 @@ sim::Task VReadDaemon::local_open(hw::ThreadId tid, const std::string& dn_id,
   opens_.inc();
 }
 
-sim::Task VReadDaemon::readahead_task(std::shared_ptr<RaState> ra,
-                                      fs::DiskImagePtr image, std::uint64_t key,
+sim::Task VReadDaemon::disk_read(std::uint64_t bytes, bool batched, trace::Ctx ctx) {
+  auto& tr = trace::tracer();
+  const sim::SimTime d0 = host_.sim().now();
+  if (batched) {
+    co_await host_.disk().read_batched(bytes);
+  } else {
+    co_await host_.disk().read(bytes);
+  }
+  if (tr.enabled())
+    tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
+              tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(), bytes);
+}
+
+sim::Task VReadDaemon::fill_pages(std::uint64_t key, std::uint64_t offset, std::uint64_t n,
+                                  trace::Ctx ctx, std::uint64_t* disk_bytes) {
+  const std::uint64_t missing = host_.page_cache().miss_bytes(key, offset, n);
+  if (missing > 0) {
+    co_await disk_read(missing, /*batched=*/true, ctx);
+    if (disk_bytes) *disk_bytes += missing;
+  }
+  host_.page_cache().fill(key, offset, n);
+}
+
+sim::Task VReadDaemon::readahead_task(std::shared_ptr<RaState> ra, std::uint64_t key,
                                       std::uint64_t begin, std::uint64_t end,
                                       trace::Ctx ctx) {
-  (void)image;
-  auto& tr = trace::tracer();
   // The window lands incrementally so a waiter needing only the first
   // pages resumes as soon as they arrive, not when the whole window does.
   std::uint64_t pos = begin;
   while (pos < end) {
     const std::uint64_t n = std::min(kStreamChunk, end - pos);
-    const std::uint64_t missing = host_.page_cache().miss_bytes(key, pos, n);
-    if (missing > 0) {
-      const sim::SimTime d0 = host_.sim().now();
-      co_await host_.disk().read_batched(missing);
-      if (tr.enabled())
-        tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
-                  tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(),
-                  missing);
-    }
-    host_.page_cache().fill(key, pos, n);
+    co_await fill_pages(key, pos, n, ctx, nullptr);
     pos += n;
     ra->done = std::max(ra->done, pos);
     ra->event.set();
@@ -712,7 +731,6 @@ sim::Task VReadDaemon::ensure_resident(hw::ThreadId tid, Descriptor& d,
                                        trace::Ctx ctx, bool allow_readahead,
                                        std::uint64_t* disk_bytes) {
   const hw::CostModel& cm = host_.costs();
-  auto& tr = trace::tracer();
   const std::uint64_t key = cache_key(*d.mount->image(), d.inode.id);
   if (!d.ra) {
     // Readahead state is shared by every descriptor of this file, so
@@ -750,18 +768,7 @@ sim::Task VReadDaemon::ensure_resident(hw::ThreadId tid, Descriptor& d,
       const std::uint64_t window_end =
           std::min(d.inode.size, offset + std::max(n, kReadahead));
       ra.inflight_end = std::max(ra.inflight_end, window_end);
-      const std::uint64_t missing =
-          host_.page_cache().miss_bytes(key, offset, window_end - offset);
-      if (missing > 0) {
-        const sim::SimTime d0 = host_.sim().now();
-        co_await host_.disk().read_batched(missing);
-        if (disk_bytes) *disk_bytes += missing;
-        if (tr.enabled())
-          tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
-                    tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(),
-                    missing);
-      }
-      host_.page_cache().fill(key, offset, window_end - offset);
+      co_await fill_pages(key, offset, window_end - offset, ctx, disk_bytes);
       ra.done = std::max(ra.done, window_end);
       ra.event.set();
     }
@@ -770,32 +777,28 @@ sim::Task VReadDaemon::ensure_resident(hw::ThreadId tid, Descriptor& d,
         ra.inflight_end <= ra.done) {
       const std::uint64_t ra_end = std::min(d.inode.size, ra.done + kReadahead);
       ra.inflight_end = ra_end;
-      host_.sim().spawn(readahead_task(d.ra, d.mount->image(), key, ra.done, ra_end, ctx));
+      host_.sim().spawn(readahead_task(d.ra, key, ra.done, ra_end, ctx));
     }
   } else {
     // Random access: fetch exactly what was asked for.
-    const std::uint64_t missing = host_.page_cache().miss_bytes(key, offset, n);
-    if (missing > 0) {
-      const sim::SimTime d0 = host_.sim().now();
-      co_await host_.disk().read_batched(missing);
-      if (disk_bytes) *disk_bytes += missing;
-      if (tr.enabled())
-        tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
-                  tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(),
-                  missing);
-    }
-    host_.page_cache().fill(key, offset, n);
+    co_await fill_pages(key, offset, n, ctx, disk_bytes);
   }
   d.seq_pos = end;
 }
 
+void VReadDaemon::count_local_read(Descriptor& d, std::uint64_t end, const mem::Buffer& out,
+                                   Status& status) {
+  d.seq_pos = end;
+  status = Status::Ok();
+  reads_.inc();
+  bytes_read_.inc(out.size());
+}
+
 sim::Task VReadDaemon::local_read(hw::ThreadId tid, Descriptor& d, std::uint64_t offset,
                                   std::uint64_t len, mem::Buffer& out, Status& status,
-                                  const std::string& tenant, trace::Ctx ctx,
-                                  bool allow_coalesce, bool allow_readahead,
-                                  bool allow_peer) {
+                                  const ReadHints& hints, bool allow_peer) {
   const hw::CostModel& cm = host_.costs();
-  auto& tr = trace::tracer();
+  const trace::Ctx ctx = hints.ctx;
   if (offset >= d.inode.size) {
     // The snapshot inode is shorter than the reader expects (stale mount):
     // force the client back to the vanilla path.
@@ -812,13 +815,9 @@ sim::Task VReadDaemon::local_read(hw::ThreadId tid, Descriptor& d, std::uint64_t
     co_await host_.cpu().consume(
         tid, cm.daemon_cache_lookup + cm.daemon_cache_per_page * cm.pages(n),
         CycleCategory::kLoopDevice, ctx);
-    mem::Buffer hit = cache_.lookup(d.dn_id, d.block_name, offset, n);
-    if (!hit.empty()) {
-      out = std::move(hit);
-      d.seq_pos = offset + n;
-      status = Status::Ok();
-      reads_.inc();
-      bytes_read_.inc(out.size());
+    out = cache_.lookup(d.dn_id, d.block_name, offset, n);
+    if (!out.empty()) {
+      count_local_read(d, offset + n, out, status);
       co_return;
     }
   }
@@ -827,30 +826,14 @@ sim::Task VReadDaemon::local_read(hw::ThreadId tid, Descriptor& d, std::uint64_t
   // for someone else is joined as a waiter instead of refilled. Skipped in
   // direct mode — its contract is every byte off the device.
   CoalesceMap::FillPtr fill;
-  if (coalesce_ && allow_coalesce && !config_.direct_read) {
-    if (CoalesceMap::FillPtr f = coalesce_->attach(d.dn_id, d.block_name, offset, n, tenant)) {
-      if (obs_fr_) {
-        obs_fr_->record(host_.sim().now(), obs::FlightEventKind::kCoalesceMerge,
-                        d.block_name, "local-fill", n);
-      }
-      tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-attach",
-                 static_cast<int>(tid));
-      const trace::SpanId wsp = tr.begin(ctx, trace::SpanKind::kSyncWait,
-                                         "coalesce-wait", static_cast<int>(tid));
-      co_await f->done.wait();
-      tr.end(wsp, n);
-      if (!f->status.ok()) {
-        status = f->status;
-        co_return;
-      }
-      out = f->data.slice(offset - f->offset, n);
-      d.seq_pos = offset + n;
-      status = Status::Ok();
-      reads_.inc();
-      bytes_read_.inc(out.size());
+  if (coalesce_ && hints.coalesce && !config_.direct_read) {
+    bool joined = false;
+    co_await join_fill(tid, ctx, d, offset, n, hints.tenant, "local-fill", fill, joined, out,
+                       status);
+    if (joined) {
+      if (status.ok()) count_local_read(d, offset + n, out, status);
       co_return;
     }
-    fill = coalesce_->begin(d.dn_id, d.block_name, offset, n, tenant);
   }
 
   // Cooperative peer tier (§15): before paying the disk, ask the owner
@@ -859,35 +842,13 @@ sim::Task VReadDaemon::local_read(hw::ThreadId tid, Descriptor& d, std::uint64_t
   // any other backing source, so waiters and fill-byte attribution behave
   // identically to a disk fill.
   if (allow_peer && peer_dir_ && !config_.direct_read && cache_.enabled()) {
-    mem::Buffer pbuf;
-    std::uint64_t pepoch = 0;
-    bool pok = false;
-    co_await peer_fetch(tid, d.dn_id, d.block_name, offset, n, ctx, pbuf, pepoch, pok);
-    if (pok) {
-      // Publish-gated insert: if an invalidation advanced the epoch while
-      // the bytes were in flight, serve them to this reader (they were
-      // valid at lookup time — read-time semantics) but neither cache nor
-      // advertise them.
-      if (peer_dir_->publish_if_current(this, d.dn_id, d.block_name, pepoch)) {
-        if (cache_.insert(d.dn_id, d.block_name, offset, pbuf, tenant)) {
-          peer_epochs_[std::make_pair(d.dn_id, d.block_name)] = pepoch;
-        } else {
-          peer_dir_->unpublish(this, d.dn_id, d.block_name);
-        }
-      }
-      out = std::move(pbuf);
-      d.seq_pos = offset + n;
-      status = Status::Ok();
-      reads_.inc();
-      bytes_read_.inc(out.size());
-      if (fill) {
-        if (fill->waiters > 0) {
-          tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-fanout",
-                     static_cast<int>(tid));
-        }
-        coalesce_->complete(fill, out, status, n);
-        charge_fill_split(*fill);
-      }
+    std::uint64_t epoch = 0;
+    bool ok = false;
+    co_await peer_fetch(tid, d.dn_id, d.block_name, offset, n, ctx, out, epoch, ok);
+    if (ok) {
+      insert_if_current(d, offset, out, hints.tenant, epoch);
+      count_local_read(d, offset + n, out, status);
+      finish_fill(fill, tid, ctx, out, status, n);
       co_return;
     }
   }
@@ -899,16 +860,11 @@ sim::Task VReadDaemon::local_read(hw::ThreadId tid, Descriptor& d, std::uint64_t
     co_await host_.cpu().consume(
         tid, cm.blk_per_request + cm.direct_translate_per_page * cm.pages(n),
         CycleCategory::kLoopDevice, ctx);
-    const sim::SimTime d0 = host_.sim().now();
-    co_await host_.disk().read(n);
-    if (tr.enabled())
-      tr.record(ctx, trace::SpanKind::kDisk, "disk-read",
-                tr.track(host_.name() + " disk", host_.name()), d0, host_.sim().now(), n);
+    co_await disk_read(n, /*batched=*/false, ctx);
     co_await host_.cpu().consume(tid, cm.copy_cost(n), CycleCategory::kLoopDevice, ctx);
   } else {
     // Host file-system read through the loop device (with readahead).
-    co_await ensure_resident(tid, d, offset, n, ctx, allow_readahead,
-                             &fill_disk_bytes);
+    co_await ensure_resident(tid, d, offset, n, ctx, hints.readahead, &fill_disk_bytes);
     // Loop-device traversal + the page-cache -> daemon-buffer copy. Not a
     // kCopy span: the paper's copy arithmetic counts only the two standing
     // ring copies on the vRead path (see DESIGN.md §8).
@@ -917,7 +873,7 @@ sim::Task VReadDaemon::local_read(hw::ThreadId tid, Descriptor& d, std::uint64_t
   }
   out = d.mount->read(d.inode, offset, n);
   if (!config_.direct_read) {
-    const bool resident = cache_.insert(d.dn_id, d.block_name, offset, out, tenant);
+    const bool resident = cache_.insert(d.dn_id, d.block_name, offset, out, hints.tenant);
     if (resident && peer_dir_) {
       // Unconditional publish is safe HERE (unlike the peer/owner-fetch
       // paths): mount read, insert, and publish share one tick with no
@@ -929,31 +885,70 @@ sim::Task VReadDaemon::local_read(hw::ThreadId tid, Descriptor& d, std::uint64_t
           peer_dir_->publish(this, d.dn_id, d.block_name);
     }
   }
-  status = Status::Ok();
-  reads_.inc();
-  bytes_read_.inc(out.size());
-  if (fill) {
-    // Fan the window out to every waiter and split the disk cost across
-    // the tenants that shared the fill.
-    if (fill->waiters > 0) {
-      tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-fanout",
-                 static_cast<int>(tid));
-    }
-    coalesce_->complete(fill, out, status, fill_disk_bytes);
-    charge_fill_split(*fill);
-  }
+  count_local_read(d, offset + n, out, status);
+  finish_fill(fill, tid, ctx, out, status, fill_disk_bytes);
 }
 
-void VReadDaemon::charge_fill_split(const CoalesceMap::Fill& fill) {
-  if (!qos_ || fill.fill_bytes == 0 || !fill.status.ok()) return;
-  const auto& tenants = fill.tenants;
-  const std::uint64_t share = fill.fill_bytes / tenants.size();
-  // The integer remainder lands on the leader so per-tenant charges always
-  // sum exactly to the bytes the backing store served.
-  qos_->charge_fill(tenants.front(),
-                    fill.fill_bytes - share * (tenants.size() - 1));
-  for (std::size_t i = 1; i < tenants.size(); ++i) {
-    qos_->charge_fill(tenants[i], share);
+sim::Task VReadDaemon::join_fill(hw::ThreadId tid, trace::Ctx ctx, const Descriptor& d,
+                                 std::uint64_t offset, std::uint64_t n,
+                                 const std::string& tenant, const char* site,
+                                 CoalesceMap::FillPtr& lead, bool& joined, mem::Buffer& out,
+                                 Status& status) {
+  CoalesceMap::FillPtr f = coalesce_->attach(d.dn_id, d.block_name, offset, n, tenant);
+  joined = f != nullptr;
+  if (!joined) {
+    lead = coalesce_->begin(d.dn_id, d.block_name, offset, n, tenant);
+    co_return;
+  }
+  auto& tr = trace::tracer();
+  if (obs_fr_) {
+    obs_fr_->record(host_.sim().now(), obs::FlightEventKind::kCoalesceMerge, d.block_name,
+                    site, n);
+  }
+  tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-attach", static_cast<int>(tid));
+  const trace::SpanId wsp =
+      tr.begin(ctx, trace::SpanKind::kSyncWait, "coalesce-wait", static_cast<int>(tid));
+  co_await f->done.wait();
+  tr.end(wsp, n);
+  status = f->status;
+  if (!status.ok()) co_return;
+  // A remote leader's payload stops at the peer inode's end; a waiter
+  // window starting past that would have gotten RANGE from the peer too.
+  const std::uint64_t start = offset - f->offset;
+  if (start >= f->data.size()) {
+    status = Status(StatusCode::kRange, d.block_name);
+    co_return;
+  }
+  out = f->data.slice(start, std::min<std::uint64_t>(n, f->data.size() - start));
+}
+
+void VReadDaemon::finish_fill(const CoalesceMap::FillPtr& fill, hw::ThreadId tid,
+                              trace::Ctx ctx, mem::Buffer data, const Status& status,
+                              std::uint64_t fill_bytes) {
+  if (!fill) return;
+  if (fill->waiters > 0 && status.ok()) {
+    trace::tracer().instant(ctx, trace::SpanKind::kCoalesce, "coalesce-fanout",
+                            static_cast<int>(tid));
+  }
+  coalesce_->complete(fill, std::move(data), status, status.ok() ? fill_bytes : 0);
+  if (!qos_ || fill->fill_bytes == 0 || !status.ok()) return;
+  // Split the backing-store bytes across the tenants that shared the
+  // fill; the integer remainder lands on the leader so per-tenant charges
+  // always sum exactly to the bytes the backing store served.
+  const auto& tenants = fill->tenants;
+  const std::uint64_t share = fill->fill_bytes / tenants.size();
+  qos_->charge_fill(tenants.front(), fill->fill_bytes - share * (tenants.size() - 1));
+  for (std::size_t i = 1; i < tenants.size(); ++i) qos_->charge_fill(tenants[i], share);
+}
+
+void VReadDaemon::insert_if_current(const Descriptor& d, std::uint64_t offset,
+                                    const mem::Buffer& data, const std::string& tenant,
+                                    std::uint64_t epoch) {
+  if (!peer_dir_->publish_if_current(this, d.dn_id, d.block_name, epoch)) return;
+  if (cache_.insert(d.dn_id, d.block_name, offset, data, tenant)) {
+    peer_epochs_[std::make_pair(d.dn_id, d.block_name)] = epoch;
+  } else {
+    peer_dir_->unpublish(this, d.dn_id, d.block_name);
   }
 }
 
@@ -989,6 +984,51 @@ sim::Task VReadDaemon::run_on_control(std::function<sim::Task(hw::ThreadId)> job
   co_await done.wait();
 }
 
+sim::Task VReadDaemon::send_ctrl(hw::ThreadId tid, Transport t, trace::Ctx ctx) {
+  const hw::CostModel& cm = host_.costs();
+  const bool rdma = t == Transport::kRdma;
+  co_await host_.cpu().consume(tid, rdma ? cm.rdma_post_wr : cm.vreadnet_per_segment,
+                               rdma ? CycleCategory::kRdma : CycleCategory::kVreadNet, ctx);
+}
+
+sim::Task VReadDaemon::recv_ctrl(hw::ThreadId tid, Transport t, trace::Ctx ctx) {
+  const hw::CostModel& cm = host_.costs();
+  const bool rdma = t == Transport::kRdma;
+  co_await host_.cpu().consume(tid, rdma ? cm.rdma_cqe : cm.vreadnet_per_segment,
+                               rdma ? CycleCategory::kRdma : CycleCategory::kVreadNet, ctx);
+}
+
+sim::Task VReadDaemon::push_payload(hw::ThreadId tid, Transport t, std::uint64_t n,
+                                    trace::Ctx ctx) {
+  const hw::CostModel& cm = host_.costs();
+  if (t == Transport::kRdma) {
+    co_await host_.cpu().consume(tid, cm.rdma_post_wr + cm.per_byte(n, cm.rdma_cycles_per_byte),
+                                 CycleCategory::kRdma, ctx);
+    co_return;
+  }
+  auto& tr = trace::tracer();
+  const trace::SpanId sp =
+      tr.begin(ctx, trace::SpanKind::kCopy, "copy vread-net-tx", static_cast<int>(tid));
+  co_await host_.cpu().consume(tid, cm.vreadnet_per_segment * cm.segments(n) + cm.copy_cost(n),
+                               CycleCategory::kVreadNet, ctx);
+  tr.end(sp, n);
+}
+
+sim::Task VReadDaemon::recv_payload(hw::ThreadId tid, Transport t, std::uint64_t n,
+                                    trace::Ctx ctx) {
+  const hw::CostModel& cm = host_.costs();
+  if (t == Transport::kRdma) {
+    co_await host_.cpu().consume(tid, cm.rdma_cqe, CycleCategory::kRdma, ctx);
+    co_return;
+  }
+  auto& tr = trace::tracer();
+  const trace::SpanId sp =
+      tr.begin(ctx, trace::SpanKind::kCopy, "copy vread-net-rx", static_cast<int>(tid));
+  co_await host_.cpu().consume(tid, cm.vreadnet_per_segment * cm.segments(n) + cm.copy_cost(n),
+                               CycleCategory::kVreadNet, ctx);
+  tr.end(sp, n);
+}
+
 sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
                                   const std::string& block, std::uint64_t offset,
                                   std::uint64_t n, trace::Ctx ctx, mem::Buffer& out,
@@ -1003,19 +1043,13 @@ sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
     co_return;
   }
   peer_dir_hits_.inc();
-  const hw::CostModel& cm = host_.costs();
   const std::size_t attempts =
       std::min(peer_dir_->config().fetch_attempts, lr.holders.size());
   for (std::size_t i = 0; i < attempts; ++i) {
     VReadDaemon* holder = lr.holders[i].daemon;
     const Transport transport = effective_transport(tid, ctx);
     // Fetch request out: one WR / one user-space TCP message to the holder.
-    if (transport == Transport::kRdma) {
-      co_await host_.cpu().consume(tid, cm.rdma_post_wr, CycleCategory::kRdma, ctx);
-    } else {
-      co_await host_.cpu().consume(tid, cm.vreadnet_per_segment,
-                                   CycleCategory::kVreadNet, ctx);
-    }
+    co_await send_ctrl(tid, transport, ctx);
     co_await host_.lan().transfer(host_.lan_id(), holder->host_.lan_id(), kCtrlBytes);
     if (fault::registry().should_fire(fault::points::kPeerCachePeerDown)) {
       // The holder died mid-fetch. No retry storm here: the tier is an
@@ -1032,13 +1066,7 @@ sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
         [holder, dn, block, offset, n, transport, &buf, &holder_epoch, &have,
          ctx](hw::ThreadId ptid) -> sim::Task {
       const hw::CostModel& pcm = holder->host_.costs();
-      if (transport == Transport::kRdma) {
-        co_await holder->host_.cpu().consume(ptid, pcm.rdma_cqe,
-                                             CycleCategory::kRdma, ctx);
-      } else {
-        co_await holder->host_.cpu().consume(ptid, pcm.vreadnet_per_segment,
-                                             CycleCategory::kVreadNet, ctx);
-      }
+      co_await holder->recv_ctrl(ptid, transport, ctx);
       co_await holder->host_.cpu().consume(
           ptid, pcm.daemon_cache_lookup + pcm.daemon_cache_per_page * pcm.pages(n),
           CycleCategory::kLoopDevice, ctx);
@@ -1050,15 +1078,7 @@ sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
       }
       // Send side: active push of the payload, same arithmetic as the
       // owner-streamed remote read (paper Fig. 7).
-      if (transport == Transport::kRdma) {
-        co_await holder->host_.cpu().consume(
-            ptid, pcm.rdma_post_wr + pcm.per_byte(n, pcm.rdma_cycles_per_byte),
-            CycleCategory::kRdma, ctx);
-      } else {
-        co_await holder->host_.cpu().consume(
-            ptid, pcm.vreadnet_per_segment * pcm.segments(n) + pcm.copy_cost(n),
-            CycleCategory::kVreadNet, ctx);
-      }
+      co_await holder->push_payload(ptid, transport, n, ctx);
       buf = std::move(hit);
       have = true;
     };
@@ -1072,13 +1092,7 @@ sim::Task VReadDaemon::peer_fetch(hw::ThreadId tid, const std::string& dn,
     // Payload crosses the wire, then receive-side CPU.
     co_await wire_transfer(&host_.sim(), &host_.lan(), holder->host_.lan_id(),
                            host_.lan_id(), n, wire_label(transport), ctx);
-    if (transport == Transport::kRdma) {
-      co_await host_.cpu().consume(tid, cm.rdma_cqe, CycleCategory::kRdma, ctx);
-    } else {
-      co_await host_.cpu().consume(
-          tid, cm.vreadnet_per_segment * cm.segments(n) + cm.copy_cost(n),
-          CycleCategory::kVreadNet, ctx);
-    }
+    co_await recv_payload(tid, transport, n, ctx);
     peer_bytes(holder->host_.name(), transport).inc(n);
     if (holder_epoch != lr.epoch) {
       // Defense layer 3: the holder's copy predates the current epoch (its
@@ -1107,18 +1121,11 @@ sim::Task VReadDaemon::remote_open(hw::ThreadId tid, VReadDaemon* peer,
                                    const std::string& block_name,
                                    std::uint64_t& peer_vfd, std::uint64_t& size_out,
                                    Status& status, trace::Ctx ctx) {
-  const hw::CostModel& cm = host_.costs();
   auto& tr = trace::tracer();
   const RetryPolicy& policy = config_.remote_retry;
   for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
     const Transport transport = effective_transport(tid, ctx);
-    // Request out: one WR (RDMA) or one user-space TCP message.
-    if (transport == Transport::kRdma) {
-      co_await host_.cpu().consume(tid, cm.rdma_post_wr, CycleCategory::kRdma, ctx);
-    } else {
-      co_await host_.cpu().consume(tid, cm.vreadnet_per_segment,
-                                   CycleCategory::kVreadNet, ctx);
-    }
+    co_await send_ctrl(tid, transport, ctx);
     co_await host_.lan().transfer(host_.lan_id(), peer->host_.lan_id(), kCtrlBytes);
 
     if (fault::registry().should_fire(fault::points::kPeerDown)) {
@@ -1145,13 +1152,7 @@ sim::Task VReadDaemon::remote_open(hw::ThreadId tid, VReadDaemon* peer,
     std::function<sim::Task(hw::ThreadId)> open_job =
         [peer, transport, dn_id, block_name, &vfd_out, &inode_size_out, &status_out,
          ctx](hw::ThreadId ptid) -> sim::Task {
-      const hw::CostModel& pcm = peer->host_.costs();
-      if (transport == Transport::kRdma) {
-        co_await peer->host_.cpu().consume(ptid, pcm.rdma_cqe, CycleCategory::kRdma, ctx);
-      } else {
-        co_await peer->host_.cpu().consume(ptid, pcm.vreadnet_per_segment,
-                                           CycleCategory::kVreadNet, ctx);
-      }
+      co_await peer->recv_ctrl(ptid, transport, ctx);
       if (peer->local_mounts_.count(dn_id) != 0) {
         co_await peer->local_open(ptid, dn_id, block_name, vfd_out, status_out, ctx);
         if (status_out.ok()) {
@@ -1165,12 +1166,7 @@ sim::Task VReadDaemon::remote_open(hw::ThreadId tid, VReadDaemon* peer,
 
     // Response back over the wire.
     co_await host_.lan().transfer(peer->host_.lan_id(), host_.lan_id(), kCtrlBytes);
-    if (transport == Transport::kRdma) {
-      co_await host_.cpu().consume(tid, cm.rdma_cqe, CycleCategory::kRdma, ctx);
-    } else {
-      co_await host_.cpu().consume(tid, cm.vreadnet_per_segment,
-                                   CycleCategory::kVreadNet, ctx);
-    }
+    co_await recv_ctrl(tid, transport, ctx);
     peer_vfd = vfd_out;
     size_out = inode_size_out;
     status = status_out;
@@ -1178,8 +1174,8 @@ sim::Task VReadDaemon::remote_open(hw::ThreadId tid, VReadDaemon* peer,
   }
 }
 
-bool VReadDaemon::hedge_cancelled(const virt::ShmRequest& req) {
-  if (!req.cancel || !*req.cancel) return false;
+bool VReadDaemon::hedge_cancelled(const std::shared_ptr<const bool>& cancel) {
+  if (!cancel || !*cancel) return false;
   // Injected cancel/completion race: the daemon "misses" the flag for this
   // check, as if the doorbell arrived after the leg completed.
   if (fault::registry().should_fire(fault::points::kHedgeCancelRace)) return false;
@@ -1201,11 +1197,14 @@ sim::Task VReadDaemon::abort_cancelled(virt::ShmChannel& channel, hw::ThreadId t
                                 /*charge_copy=*/true, req.ctx);
 }
 
-sim::Task VReadDaemon::stream_local_read(virt::ShmChannel& channel, hw::ThreadId tid,
-                                         const virt::ShmRequest& req, Descriptor& d) {
+sim::Task VReadDaemon::stream_chunks(virt::ShmChannel& channel, hw::ThreadId tid,
+                                     const virt::ShmRequest& req, Descriptor& d,
+                                     ChunkSource source) {
   const trace::Ctx ctx = req.ctx;
   if (req.offset >= d.inode.size) {
-    // Snapshot shorter than the reader expects: fall back to vanilla.
+    // Snapshot shorter than the reader expects: fall back to vanilla. A
+    // remote descriptor's size came with the open reply, so the range
+    // check the peer would make is answered here without a wire hop.
     co_await channel.respond_part(tid, req.id, kVReadErrRange, req.vfd,
                                   mem::Buffer(), /*last=*/true,
                                   /*charge_copy=*/true, ctx);
@@ -1213,31 +1212,132 @@ sim::Task VReadDaemon::stream_local_read(virt::ShmChannel& channel, hw::ThreadId
   }
   const std::uint64_t end = std::min(req.offset + req.len, d.inode.size);
   if (obs_ts_) obs_ts_->record_block_access(d.block_name, end - req.offset);
+  const ReadHints hints = hints_of(req);
   std::uint64_t off = req.offset;
   std::uint64_t delivered = 0;
   while (off < end) {
-    if (off > req.offset && hedge_cancelled(req)) {
+    if (off > req.offset && hedge_cancelled(req.cancel)) {
       // Between chunks only: the checked flag can't claw back a chunk
-      // already in the ring, it stops the NEXT one.
+      // already in the ring, it stops the NEXT one. Any fill this leg led
+      // was completed in its own iteration, so no coalesced waiter strands.
       co_await abort_cancelled(channel, tid, req, d.block_name, delivered);
       co_return;
     }
     const std::uint64_t n = std::min(kStreamChunk, end - off);
     mem::Buffer buf;
     Status status;
-    co_await local_read(tid, d, off, n, buf, status, req.tenant, ctx,
-                        req.coalesce, req.readahead);
-    const std::int64_t wire =
-        status.ok() ? static_cast<std::int64_t>(buf.size()) : status.to_wire();
-    const bool last = off + n >= end;
-    if (qos_ && status.ok()) {
+    bool zero_copy = false;  // RDMA owner payloads land in ring memory
+    if (source == ChunkSource::kPeerTier) {
+      co_await peer_tier_chunk(tid, d, off, n, hints, buf, status, zero_copy);
+    } else {
+      co_await local_read(tid, d, off, n, buf, status, hints, /*allow_peer=*/true);
+    }
+    if (!status.ok()) {
+      // The stream ends at the first failed chunk: the guest keeps only
+      // the last part's status, so a later part must not mask it.
+      co_await channel.respond_part(tid, req.id, status.to_wire(), req.vfd,
+                                    mem::Buffer(), /*last=*/true,
+                                    /*charge_copy=*/true, ctx);
+      co_return;
+    }
+    if (qos_) {
       qos_->account_bytes(req.tenant, buf.size());
       delivered += buf.size();
     }
-    co_await channel.respond_part(tid, req.id, wire, req.vfd,
-                                  std::move(buf), last, /*charge_copy=*/true, ctx);
+    const bool last = off + n >= end;
+    co_await channel.respond_part(tid, req.id, static_cast<std::int64_t>(buf.size()),
+                                  req.vfd, std::move(buf), last, !zero_copy, ctx);
     off += n;
   }
+  if (source == ChunkSource::kPeerTier) remote_reads_.inc();
+}
+
+sim::Task VReadDaemon::peer_tier_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
+                                       std::uint64_t n, const ReadHints& hints,
+                                       mem::Buffer& buf, Status& status, bool& zero_copy) {
+  const hw::CostModel& cm = host_.costs();
+  // Per-chunk single-flight: concurrent streams of the same remote block
+  // on this host merge at the same chop points the caches use.
+  CoalesceMap::FillPtr fill;
+  if (coalesce_ && hints.coalesce) {
+    bool joined = false;
+    co_await join_fill(tid, hints.ctx, d, off, n, hints.tenant, "peer-tier", fill, joined,
+                       buf, status);
+    if (joined) co_return;
+  }
+  std::uint64_t fill_bytes = 0;
+  // Source 1: this daemon's own cache — remote bytes fetched earlier stay
+  // useful, which the whole-window path never managed.
+  co_await host_.cpu().consume(
+      tid, cm.daemon_cache_lookup + cm.daemon_cache_per_page * cm.pages(n),
+      CycleCategory::kLoopDevice, hints.ctx);
+  buf = cache_.lookup(d.dn_id, d.block_name, off, n);
+  if (buf.empty()) {
+    // Source 2: a copyset holder's cache, one LAN hop away.
+    std::uint64_t epoch = 0;
+    bool ok = false;
+    co_await peer_fetch(tid, d.dn_id, d.block_name, off, n, hints.ctx, buf, epoch, ok);
+    if (ok) {
+      insert_if_current(d, off, buf, hints.tenant, epoch);
+    } else {
+      // Source 3: the owner daemon reads it through its own mount.
+      co_await owner_chunk(tid, d, off, n, hints, buf, status, zero_copy);
+    }
+    fill_bytes = n;
+  }
+  finish_fill(fill, tid, hints.ctx, buf, status, fill_bytes);
+}
+
+sim::Task VReadDaemon::owner_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
+                                   std::uint64_t n, const ReadHints& hints,
+                                   mem::Buffer& buf, Status& status, bool& zero_copy) {
+  const trace::Ctx ctx = hints.ctx;
+  // Snapshot the directory epoch BEFORE dispatching: the bytes cross
+  // several suspension points (owner control worker, LAN payload, RX CPU),
+  // and an invalidation interleaving anywhere in that span — e.g. the
+  // owner's local_refresh exposing a new snapshot — means they are
+  // authoritative at THIS epoch, not at whatever epoch holds when they
+  // finally land here.
+  const std::uint64_t epoch = peer_dir_->epoch(d.dn_id, d.block_name);
+  VReadDaemon* peer = d.peer;
+  const Transport transport = effective_transport(tid, ctx);
+  co_await send_ctrl(tid, transport, ctx);
+  co_await host_.lan().transfer(host_.lan_id(), peer->host_.lan_id(), kCtrlBytes);
+  if (fault::registry().should_fire(fault::points::kPeerDown)) {
+    status = Status(StatusCode::kPeerDown, d.dn_id);
+    co_return;
+  }
+  const std::uint64_t peer_vfd = d.peer_vfd;
+  std::function<sim::Task(hw::ThreadId)> chunk_job =
+      [peer, peer_vfd, off, n, transport, hints, &buf,
+       &status](hw::ThreadId ptid) -> sim::Task {
+    co_await peer->recv_ctrl(ptid, transport, hints.ctx);
+    auto it = peer->descriptors_.find(peer_vfd);
+    if (it == peer->descriptors_.end()) {
+      status = Status::from_wire(kVReadErrBadFd, "peer descriptor");
+      co_return;
+    }
+    DescriptorPtr pd = it->second;
+    co_await peer->serve_peer_chunk(ptid, *pd, off, n, transport, hints, buf, status);
+  };
+  co_await peer->run_on_control(std::move(chunk_job));
+  const std::uint64_t wire_bytes = status.ok() ? buf.size() : kCtrlBytes;
+  co_await wire_transfer(&host_.sim(), &host_.lan(), peer->host_.lan_id(), host_.lan_id(),
+                         wire_bytes, wire_label(transport), ctx);
+  if (!status.ok()) co_return;
+  co_await recv_payload(tid, transport, n, ctx);
+  zero_copy = transport == Transport::kRdma;
+  peer_bytes(peer->host_.name(), transport).inc(buf.size());
+  // Publish-gated insert against the pre-dispatch snapshot, mirroring the
+  // peer-fetch path.
+  insert_if_current(d, off, buf, hints.tenant, epoch);
+}
+
+sim::Task VReadDaemon::serve_peer_chunk(hw::ThreadId tid, Descriptor& d, std::uint64_t off,
+                                        std::uint64_t n, Transport t, const ReadHints& hints,
+                                        mem::Buffer& out, Status& status) {
+  co_await local_read(tid, d, off, n, out, status, hints, /*allow_peer=*/false);
+  if (status.ok()) co_await push_payload(tid, t, n, hints.ctx);
 }
 
 namespace {
@@ -1260,304 +1360,41 @@ sim::Task remote_wire_hop(sim::Simulation* sim, hw::Lan* lan, hw::HostId src,
 }  // namespace
 
 sim::Task VReadDaemon::serve_remote_read(virt::ShmChannel& channel, hw::ThreadId tid,
-                                         const virt::ShmRequest& req, DescriptorPtr d) {
-  auto& tr = trace::tracer();
-  if (peer_dir_ && cache_.enabled() && !config_.direct_read && !d->peer_size_stale) {
-    // Cooperative tier on: serve chunk-at-a-time so each piece can come
-    // from this daemon's own cache, a copyset holder, or the owner. A
-    // descriptor whose size snapshot was invalidated skips the tier — its
-    // local range check could be wrong, so the owner-checked stream path
-    // below takes over.
-    co_await serve_remote_peer_tier(channel, tid, req, std::move(d));
-    co_return;
-  }
-  if (obs_ts_) obs_ts_->record_block_access(d->block_name, req.len);
+                                         const virt::ShmRequest& req, Descriptor& d) {
+  if (obs_ts_) obs_ts_->record_block_access(d.block_name, req.len);
+  CoalesceMap::FillPtr fill;
   if (coalesce_ && req.coalesce) {
     // Waiter path: a fill of this window is already crossing the wire;
     // sleep on it and serve the slice from the fanned-out payload instead
     // of paying a second daemon-to-daemon traversal.
-    if (CoalesceMap::FillPtr f = coalesce_->attach(d->dn_id, d->block_name,
-                                                   req.offset, req.len, req.tenant)) {
-      if (obs_fr_) {
-        obs_fr_->record(host_.sim().now(), obs::FlightEventKind::kCoalesceMerge,
-                        d->block_name, "remote-leg", req.len);
-      }
-      tr.instant(req.ctx, trace::SpanKind::kCoalesce, "coalesce-attach",
-                 static_cast<int>(tid));
-      const trace::SpanId wsp = tr.begin(req.ctx, trace::SpanKind::kSyncWait,
-                                         "coalesce-wait", static_cast<int>(tid));
-      co_await f->done.wait();
-      tr.end(wsp, req.len);
-      if (!f->status.ok()) {
-        co_await channel.respond_part(tid, req.id, f->status.to_wire(), req.vfd,
-                                      mem::Buffer(), /*last=*/true,
-                                      /*charge_copy=*/true, req.ctx);
-        co_return;
-      }
-      // The leader's payload stops at the peer inode's end; a waiter window
-      // starting past that would have gotten RANGE from the peer too.
-      const std::uint64_t start = req.offset - f->offset;
-      if (start >= f->data.size()) {
-        co_await channel.respond_part(tid, req.id, kVReadErrRange, req.vfd,
-                                      mem::Buffer(), /*last=*/true,
-                                      /*charge_copy=*/true, req.ctx);
-        co_return;
-      }
-      mem::Buffer out = f->data.slice(start, std::min<std::uint64_t>(
-                                                 req.len, f->data.size() - start));
-      if (qos_) qos_->account_bytes(req.tenant, out.size());
-      const std::int64_t wire = static_cast<std::int64_t>(out.size());
+    bool joined = false;
+    mem::Buffer out;
+    Status status;
+    co_await join_fill(tid, req.ctx, d, req.offset, req.len, req.tenant, "remote-leg", fill,
+                       joined, out, status);
+    if (joined) {
+      if (status.ok() && qos_) qos_->account_bytes(req.tenant, out.size());
+      const std::int64_t wire =
+          status.ok() ? static_cast<std::int64_t>(out.size()) : status.to_wire();
       co_await channel.respond_part(tid, req.id, wire, req.vfd, std::move(out),
                                     /*last=*/true, /*charge_copy=*/true, req.ctx);
-      remote_reads_.inc();
+      if (status.ok()) remote_reads_.inc();
       co_return;
     }
-    CoalesceMap::FillPtr fill =
-        coalesce_->begin(d->dn_id, d->block_name, req.offset, req.len, req.tenant);
-    co_await stream_remote_read(channel, tid, req, *d, fill);
-    co_return;
   }
-  co_await stream_remote_read(channel, tid, req, *d, nullptr);
-}
-
-sim::Task VReadDaemon::serve_remote_peer_tier(virt::ShmChannel& channel, hw::ThreadId tid,
-                                              const virt::ShmRequest& req,
-                                              DescriptorPtr dp) {
-  Descriptor& d = *dp;
-  const hw::CostModel& cm = host_.costs();
-  auto& tr = trace::tracer();
-  const trace::Ctx ctx = req.ctx;
-  if (req.offset >= d.inode.size) {
-    // The open reply carried the peer inode's snapshot size, so the range
-    // check the peer would make is answered here without a wire hop.
-    co_await channel.respond_part(tid, req.id, kVReadErrRange, req.vfd, mem::Buffer(),
-                                  /*last=*/true, /*charge_copy=*/true, ctx);
-    co_return;
-  }
-  const std::uint64_t end = std::min(req.offset + req.len, d.inode.size);
-  if (obs_ts_) obs_ts_->record_block_access(d.block_name, end - req.offset);
-  std::uint64_t off = req.offset;
-  std::uint64_t delivered = 0;
-  while (off < end) {
-    if (off > req.offset && hedge_cancelled(req)) {
-      // Chunk boundary: any fill this leg led in a previous iteration was
-      // completed there, so aborting now strands no coalesced waiter.
-      co_await abort_cancelled(channel, tid, req, d.block_name, delivered);
-      co_return;
-    }
-    const std::uint64_t n = std::min(kStreamChunk, end - off);
-    mem::Buffer buf;
-    Status status;
-    bool zero_copy = false;  // RDMA owner payloads land in ring memory
-    bool is_waiter = false;
-
-    // Per-chunk single-flight: concurrent streams of the same remote block
-    // on this host merge at the same chop points the caches use.
-    CoalesceMap::FillPtr fill;
-    if (coalesce_ && req.coalesce) {
-      if (CoalesceMap::FillPtr f =
-              coalesce_->attach(d.dn_id, d.block_name, off, n, req.tenant)) {
-        if (obs_fr_) {
-          obs_fr_->record(host_.sim().now(), obs::FlightEventKind::kCoalesceMerge,
-                          d.block_name, "peer-tier", n);
-        }
-        tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-attach",
-                   static_cast<int>(tid));
-        const trace::SpanId wsp = tr.begin(ctx, trace::SpanKind::kSyncWait,
-                                           "coalesce-wait", static_cast<int>(tid));
-        co_await f->done.wait();
-        tr.end(wsp, n);
-        if (!f->status.ok()) {
-          co_await channel.respond_part(tid, req.id, f->status.to_wire(), req.vfd,
-                                        mem::Buffer(), /*last=*/true,
-                                        /*charge_copy=*/true, ctx);
-          co_return;
-        }
-        const std::uint64_t start = off - f->offset;
-        buf = f->data.slice(start,
-                            std::min<std::uint64_t>(n, f->data.size() - start));
-        is_waiter = true;
-      } else {
-        fill = coalesce_->begin(d.dn_id, d.block_name, off, n, req.tenant);
-      }
-    }
-
-    if (!is_waiter) {
-      std::uint64_t fill_bytes = 0;
-      // Source 1: this daemon's own cache — remote bytes fetched earlier
-      // stay useful, which the whole-window path never managed.
-      co_await host_.cpu().consume(
-          tid, cm.daemon_cache_lookup + cm.daemon_cache_per_page * cm.pages(n),
-          CycleCategory::kLoopDevice, ctx);
-      buf = cache_.lookup(d.dn_id, d.block_name, off, n);
-      if (buf.empty()) {
-        // Source 2: a copyset holder's cache, one LAN hop away.
-        std::uint64_t pepoch = 0;
-        bool pok = false;
-        co_await peer_fetch(tid, d.dn_id, d.block_name, off, n, ctx, buf, pepoch, pok);
-        if (pok) {
-          if (peer_dir_->publish_if_current(this, d.dn_id, d.block_name, pepoch)) {
-            if (cache_.insert(d.dn_id, d.block_name, off, buf, req.tenant)) {
-              peer_epochs_[std::make_pair(d.dn_id, d.block_name)] = pepoch;
-            } else {
-              peer_dir_->unpublish(this, d.dn_id, d.block_name);
-            }
-          }
-          fill_bytes = n;
-        } else {
-          // Source 3: the owner daemon reads it through its own mount.
-          // Snapshot the directory epoch BEFORE dispatching: the bytes
-          // cross several suspension points (owner control worker, LAN
-          // payload, RX CPU), and an invalidation interleaving anywhere in
-          // that span — e.g. the owner's local_refresh exposing a new
-          // snapshot — means they are authoritative at THIS epoch, not at
-          // whatever epoch holds when they finally land here.
-          const std::uint64_t owner_epoch =
-              peer_dir_->epoch(d.dn_id, d.block_name);
-          VReadDaemon* peer = d.peer;
-          const Transport transport = effective_transport(tid, ctx);
-          if (transport == Transport::kRdma) {
-            co_await host_.cpu().consume(tid, cm.rdma_post_wr, CycleCategory::kRdma,
-                                         ctx);
-          } else {
-            co_await host_.cpu().consume(tid, cm.vreadnet_per_segment,
-                                         CycleCategory::kVreadNet, ctx);
-          }
-          co_await host_.lan().transfer(host_.lan_id(), peer->host_.lan_id(),
-                                        kCtrlBytes);
-          if (fault::registry().should_fire(fault::points::kPeerDown)) {
-            status = Status(StatusCode::kPeerDown, d.dn_id);
-          } else {
-            const std::uint64_t peer_vfd = d.peer_vfd;
-            const std::uint64_t off_c = off;
-            const std::string tenant = req.tenant;
-            const bool coalesce_hint = req.coalesce;
-            const bool readahead_hint = req.readahead;
-            mem::Buffer obuf;
-            Status ostatus;
-            std::function<sim::Task(hw::ThreadId)> chunk_job =
-                [peer, peer_vfd, off_c, n, transport, tenant, coalesce_hint,
-                 readahead_hint, &obuf, &ostatus, ctx](hw::ThreadId ptid) -> sim::Task {
-              const hw::CostModel& pcm = peer->host_.costs();
-              if (transport == Transport::kRdma) {
-                co_await peer->host_.cpu().consume(ptid, pcm.rdma_cqe,
-                                                   CycleCategory::kRdma, ctx);
-              } else {
-                co_await peer->host_.cpu().consume(ptid, pcm.vreadnet_per_segment,
-                                                   CycleCategory::kVreadNet, ctx);
-              }
-              auto it = peer->descriptors_.find(peer_vfd);
-              if (it == peer->descriptors_.end()) {
-                ostatus = Status::from_wire(kVReadErrBadFd, "peer descriptor");
-                co_return;
-              }
-              DescriptorPtr pd = it->second;
-              co_await peer->local_read(ptid, *pd, off_c, n, obuf, ostatus, tenant,
-                                        ctx, coalesce_hint, readahead_hint,
-                                        /*allow_peer=*/false);
-              if (!ostatus.ok()) co_return;
-              if (transport == Transport::kRdma) {
-                co_await peer->host_.cpu().consume(
-                    ptid, pcm.rdma_post_wr + pcm.per_byte(n, pcm.rdma_cycles_per_byte),
-                    CycleCategory::kRdma, ctx);
-              } else {
-                auto& ptr = trace::tracer();
-                const trace::SpanId sp =
-                    ptr.begin(ctx, trace::SpanKind::kCopy, "copy vread-net-tx",
-                              static_cast<int>(ptid));
-                co_await peer->host_.cpu().consume(
-                    ptid, pcm.vreadnet_per_segment * pcm.segments(n) + pcm.copy_cost(n),
-                    CycleCategory::kVreadNet, ctx);
-                ptr.end(sp, n);
-              }
-            };
-            co_await peer->run_on_control(std::move(chunk_job));
-            if (!ostatus.ok()) {
-              co_await wire_transfer(&host_.sim(), &host_.lan(), peer->host_.lan_id(),
-                                     host_.lan_id(), kCtrlBytes, wire_label(transport),
-                                     ctx);
-              status = ostatus;
-            } else {
-              co_await wire_transfer(&host_.sim(), &host_.lan(), peer->host_.lan_id(),
-                                     host_.lan_id(), obuf.size(), wire_label(transport),
-                                     ctx);
-              if (transport == Transport::kRdma) {
-                co_await host_.cpu().consume(tid, cm.rdma_cqe, CycleCategory::kRdma,
-                                             ctx);
-                zero_copy = true;
-              } else {
-                const trace::SpanId sp =
-                    tr.begin(ctx, trace::SpanKind::kCopy, "copy vread-net-rx",
-                             static_cast<int>(tid));
-                co_await host_.cpu().consume(
-                    tid, cm.vreadnet_per_segment * cm.segments(n) + cm.copy_cost(n),
-                    CycleCategory::kVreadNet, ctx);
-                tr.end(sp, n);
-              }
-              peer_bytes(peer->host_.name(), transport).inc(obuf.size());
-              buf = std::move(obuf);
-              fill_bytes = n;
-              // Publish-gated insert against the pre-dispatch snapshot,
-              // mirroring the peer-fetch path: bytes that raced an
-              // invalidation are served to this reader (read-time
-              // semantics) but neither cached nor advertised.
-              if (peer_dir_->publish_if_current(this, d.dn_id, d.block_name,
-                                                owner_epoch)) {
-                if (cache_.insert(d.dn_id, d.block_name, off, buf, req.tenant)) {
-                  peer_epochs_[std::make_pair(d.dn_id, d.block_name)] = owner_epoch;
-                } else {
-                  peer_dir_->unpublish(this, d.dn_id, d.block_name);
-                }
-              }
-            }
-          }
-        }
-      }
-      if (fill) {
-        if (fill->waiters > 0 && status.ok()) {
-          tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-fanout",
-                     static_cast<int>(tid));
-        }
-        coalesce_->complete(fill, buf, status, status.ok() ? fill_bytes : 0);
-        charge_fill_split(*fill);
-      }
-      if (!status.ok()) {
-        co_await channel.respond_part(tid, req.id, status.to_wire(), req.vfd,
-                                      mem::Buffer(), /*last=*/true,
-                                      /*charge_copy=*/true, ctx);
-        co_return;
-      }
-    }
-
-    if (qos_) {
-      qos_->account_bytes(req.tenant, buf.size());
-      delivered += buf.size();
-    }
-    const bool last = off + n >= end;
-    co_await channel.respond_part(tid, req.id, static_cast<std::int64_t>(buf.size()),
-                                  req.vfd, std::move(buf), last, !zero_copy, ctx);
-    off += n;
-  }
-  remote_reads_.inc();
+  co_await stream_remote_read(channel, tid, req, d, std::move(fill));
 }
 
 sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadId tid,
                                           const virt::ShmRequest& req, Descriptor& d,
                                           CoalesceMap::FillPtr fill) {
-  const hw::CostModel& cm = host_.costs();
   const trace::Ctx ctx = req.ctx;
   VReadDaemon* peer = d.peer;
   const std::uint64_t peer_vfd = d.peer_vfd;
   const Transport transport = effective_transport(tid, ctx);
   const char* wire_name = wire_label(transport);
 
-  // Request out: one WR / one user-space TCP message.
-  if (transport == Transport::kRdma) {
-    co_await host_.cpu().consume(tid, cm.rdma_post_wr, CycleCategory::kRdma, ctx);
-  } else {
-    co_await host_.cpu().consume(tid, cm.vreadnet_per_segment,
-                                 CycleCategory::kVreadNet, ctx);
-  }
+  co_await send_ctrl(tid, transport, ctx);
   co_await host_.lan().transfer(host_.lan_id(), peer->host_.lan_id(), kCtrlBytes);
 
   if (fault::registry().should_fire(fault::points::kPeerDown)) {
@@ -1565,10 +1402,7 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
     // retry (bounded) and ultimately degrade to the vanilla socket path.
     // The failure fans out to every coalesced waiter; nobody gets bytes,
     // and the next arrival retries single-flight.
-    if (fill) {
-      coalesce_->complete(fill, mem::Buffer(),
-                          Status(StatusCode::kPeerDown, d.dn_id), 0);
-    }
+    finish_fill(fill, tid, ctx, mem::Buffer(), Status(StatusCode::kPeerDown, d.dn_id), 0);
     co_await channel.respond_part(tid, req.id, kVReadErrPeerDown, req.vfd,
                                   mem::Buffer(), /*last=*/true,
                                   /*charge_copy=*/true, ctx);
@@ -1580,25 +1414,18 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
   sim::Mailbox<RemoteChunk> arrivals(host_.sim());
   const std::uint64_t offset = req.offset;
   const std::uint64_t len = req.len;
-  // The peer-side cache insert is attributed to the requesting tenant (its
-  // identity crosses the wire in the control message).
-  const std::string tenant = req.tenant;
-  // Per-request hints cross the wire in the control message: the peer's
-  // local path honors the same coalesce/readahead intent as a local read.
-  const bool coalesce_hint = req.coalesce;
-  const bool readahead_hint = req.readahead;
+  // The hints cross the wire in the control message: the peer's local
+  // path charges the requesting tenant for its cache inserts and honors
+  // the same coalesce/readahead intent as a local read.
+  const ReadHints hints = hints_of(req);
   sim::Simulation* sim = &host_.sim();
   const hw::HostId home = host_.lan_id();  // chunks land on the requester's host
   // A coalescing leader is never cancelled: its bytes complete the fill
   // that attached waiters sleep on. Only a solo leg honors the doorbell.
-  const bool cancellable = fill == nullptr;
-  const std::shared_ptr<const bool> cancel = req.cancel;
+  const std::shared_ptr<const bool> cancel = fill ? nullptr : req.cancel;
   std::function<sim::Task(hw::ThreadId)> stream_job =
-      [peer, peer_vfd, offset, len, transport, &arrivals, sim, wire_name, tenant,
-       coalesce_hint, readahead_hint, ctx, home, cancellable,
+      [peer, peer_vfd, offset, len, transport, &arrivals, sim, wire_name, hints, home,
        cancel](hw::ThreadId ptid) -> sim::Task {
-    const hw::CostModel& pcm = peer->host_.costs();
-    auto& tr = trace::tracer();
     auto it = peer->descriptors_.find(peer_vfd);
     if (it == peer->descriptors_.end() || offset >= it->second->inode.size) {
       arrivals.send(RemoteChunk{mem::Buffer(),
@@ -1613,44 +1440,26 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
     const std::uint64_t end = std::min(offset + len, pd->inode.size);
     std::uint64_t off = offset;
     while (off < end) {
-      if (cancellable && off > offset && cancel && *cancel &&
-          !fault::registry().should_fire(fault::points::kHedgeCancelRace)) {
+      if (off > offset && hedge_cancelled(cancel)) {
         // The cancel marker rides the same serialized link as the data
         // chunks, so it lands strictly after every chunk already sent.
         sim->spawn(remote_wire_hop(
             sim, &peer->host_.lan(), peer->host_.lan_id(), home, kCtrlBytes,
             &arrivals, RemoteChunk{mem::Buffer(), kVReadErrCancelled, true},
-            wire_name, ctx));
+            wire_name, hints.ctx));
         co_return;
       }
       const std::uint64_t n = std::min(kStreamChunk, end - off);
       mem::Buffer buf;
       Status status;
-      co_await peer->local_read(ptid, *pd, off, n, buf, status, tenant, ctx,
-                                coalesce_hint, readahead_hint, /*allow_peer=*/false);
-      if (transport == Transport::kRdma) {
-        // Active push: the datanode-side daemon posts the RDMA write, so
-        // its verb cost is higher than the client side's (paper Fig. 7).
-        co_await peer->host_.cpu().consume(
-            ptid, pcm.rdma_post_wr + pcm.per_byte(n, pcm.rdma_cycles_per_byte),
-            CycleCategory::kRdma, ctx);
-      } else {
-        // User-space TCP: per-segment syscalls plus a send-side copy. The
-        // send copy is a real data copy on the vread-net path — record it.
-        const trace::SpanId sp = tr.begin(ctx, trace::SpanKind::kCopy,
-                                          "copy vread-net-tx", static_cast<int>(ptid));
-        co_await peer->host_.cpu().consume(
-            ptid, pcm.vreadnet_per_segment * pcm.segments(n) + pcm.copy_cost(n),
-            CycleCategory::kVreadNet, ctx);
-        tr.end(sp, n);
-      }
+      co_await peer->serve_peer_chunk(ptid, *pd, off, n, transport, hints, buf, status);
       const std::int64_t wire =
           status.ok() ? static_cast<std::int64_t>(buf.size()) : status.to_wire();
       const bool last = !status.ok() || off + n >= end;
       // NIC DMA rides asynchronously; the next disk read overlaps it.
       sim->spawn(remote_wire_hop(sim, &peer->host_.lan(), peer->host_.lan_id(), home,
                                  n, &arrivals, RemoteChunk{std::move(buf), wire, last},
-                                 wire_name, ctx));
+                                 wire_name, hints.ctx));
       if (!status.ok()) co_return;
       off += n;
     }
@@ -1661,8 +1470,9 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
     co_await stream_job(peer->control_->tid());
   });
 
-  auto& tr = trace::tracer();
   metrics::Counter& from_peer = peer_bytes(peer->host_.name(), transport);
+  // RDMA payloads already sit in the registered ring memory.
+  const bool zero_copy = transport == Transport::kRdma;
   // Coalescing leader: retain the payload as it lands so completion can
   // fan the whole window out to every attached waiter in one shot.
   mem::Buffer collected;
@@ -1677,10 +1487,8 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
         co_await abort_cancelled(channel, tid, req, d.block_name, delivered);
         co_return;
       }
-      if (fill) {
-        coalesce_->complete(fill, mem::Buffer(),
-                            Status::from_wire(chunk.status, d.block_name), 0);
-      }
+      finish_fill(fill, tid, ctx, mem::Buffer(),
+                  Status::from_wire(chunk.status, d.block_name), 0);
       co_await channel.respond_part(tid, req.id, chunk.status, req.vfd,
                                     mem::Buffer(), /*last=*/true,
                                     /*charge_copy=*/true, ctx);
@@ -1689,36 +1497,17 @@ sim::Task VReadDaemon::stream_remote_read(virt::ShmChannel& channel, hw::ThreadI
     const std::uint64_t n = chunk.data.size();
     from_peer.inc(n);
     if (fill) collected.append(chunk.data);
-    bool zero_copy = false;
-    if (transport == Transport::kRdma) {
-      // One CQE; the payload already sits in the registered ring memory.
-      co_await host_.cpu().consume(tid, cm.rdma_cqe, CycleCategory::kRdma, ctx);
-      zero_copy = true;
-    } else {
-      // Receive-side copy out of the user-space TCP stream.
-      const trace::SpanId sp = tr.begin(ctx, trace::SpanKind::kCopy,
-                                        "copy vread-net-rx",
-                                        static_cast<int>(tid));
-      co_await host_.cpu().consume(
-          tid, cm.vreadnet_per_segment * cm.segments(n) + cm.copy_cost(n),
-          CycleCategory::kVreadNet, ctx);
-      tr.end(sp, n);
-    }
+    co_await recv_payload(tid, transport, n, ctx);
     if (qos_) {
       qos_->account_bytes(req.tenant, n);
       delivered += n;
     }
     const bool last = chunk.last;
-    if (fill && last) {
+    if (last) {
       // Complete before streaming the final chunk into our own ring:
       // waiters wake on the fill, not on the leader's ring flow control.
       const std::uint64_t wire_bytes = collected.size();
-      if (fill->waiters > 0) {
-        tr.instant(ctx, trace::SpanKind::kCoalesce, "coalesce-fanout",
-                   static_cast<int>(tid));
-      }
-      coalesce_->complete(fill, std::move(collected), Status::Ok(), wire_bytes);
-      charge_fill_split(*fill);
+      finish_fill(fill, tid, ctx, std::move(collected), Status::Ok(), wire_bytes);
     }
     co_await channel.respond_part(tid, req.id, chunk.status, req.vfd,
                                   std::move(chunk.data), last, !zero_copy, ctx);

@@ -622,39 +622,72 @@ TEST(HedgeRead, AvertedWhenPrimaryIsFast) {
 }
 
 TEST(HedgeRead, TenantAccountingConservedOnHedgeLoss) {
-  RegistryGuard guard;
-  DaemonConfig dc;
-  dc.workers = 4;
-  auto c = hedge_bed(3, {"datanode2", "datanode3"}, dc);
-  hdfs::DfsClient* client = c->client("client1");
-  client->set_hedge(eager_hedge());
-  std::uint64_t received = 0;
-  for (int i = 0; i < 3; ++i) {
-    std::uint64_t sum = 0;
-    c->run_job(pread_no_readahead(client, "/f",
-                                  static_cast<std::uint64_t>(i) * 4 * 1024 * 1024,
-                                  4 * 1024 * 1024, &sum, &received));
-    EXPECT_NE(sum, 0u);
-  }
-  EXPECT_EQ(client->vread_fallback_reads(), 0u);  // every byte went via vRead
-  // Both legs attach through client1's own channel, so all tenant
-  // accounting lands on host1's scheduler. Conservation: what stays
-  // charged (bytes - uncharged) is exactly what completing legs delivered —
-  // the winner's payload plus any loser that outran its cancel (counted
-  // client-side as wasted). A cancelled leg's partial delivery is charged
-  // on the way in and un-charged at the abort, never half-counted.
-  std::uint64_t charged = 0, uncharged = 0, cancelled = 0;
-  for (int i = 1; i <= 3; ++i) {
-    const core::DaemonStats s = c->daemon("host" + std::to_string(i))->stats_snapshot();
-    cancelled += s.hedge_cancelled;
-    for (const core::QosTenantStats& t : s.tenants) {
-      charged += t.bytes;
-      uncharged += t.uncharged;
+  // One bed per serve source the hedged reader can hit: the remote
+  // stream, the local shortcut (a replica on client1's own host) and the
+  // peer tier (client3 seeds host3's cache, client4's hedged legs are
+  // served from it).
+  struct Source {
+    const char* name;
+    std::uint32_t hosts;
+    std::uint32_t hosts_per_rack;
+    std::vector<std::string> replicas;
+    bool peer_tier;
+    const char* seeder;  // reads first without hedging; nullptr = none
+    const char* reader;
+  };
+  const Source sources[] = {
+      {"remote stream", 3, 3, {"datanode2", "datanode3"}, false, nullptr, "client1"},
+      {"local shortcut", 3, 3, {"datanode1", "datanode2", "datanode3"}, false, nullptr,
+       "client1"},
+      // Two racks of two: replicas in rack 1, seeder and reader in rack 2.
+      {"peer tier", 4, 2, {"datanode1", "datanode2"}, true, "client3", "client4"},
+  };
+  for (const Source& src : sources) {
+    SCOPED_TRACE(src.name);
+    RegistryGuard guard;
+    DaemonConfig dc;
+    dc.workers = 4;
+    dc.peer_cache.enabled = src.peer_tier;
+    auto c = racked_bed(src.hosts, src.hosts_per_rack, 0, 0);
+    c->preload_file("/f", kFileBytes, 11, {src.replicas});
+    c->enable_vread(testutil::validated(dc));
+    std::uint64_t received = 0;
+    auto read_blocks = [&](const char* vm) {
+      for (int i = 0; i < 3; ++i) {
+        std::uint64_t sum = 0;
+        c->run_job(pread_no_readahead(c->client(vm), "/f",
+                                      static_cast<std::uint64_t>(i) * 4 * 1024 * 1024,
+                                      4 * 1024 * 1024, &sum, &received));
+        EXPECT_NE(sum, 0u);
+      }
+    };
+    if (src.seeder != nullptr) read_blocks(src.seeder);
+    hdfs::DfsClient* client = c->client(src.reader);
+    client->set_hedge(eager_hedge());
+    read_blocks(src.reader);
+    EXPECT_EQ(client->vread_fallback_reads(), 0u);  // every byte went via vRead
+    // Each leg attaches through its reader's own channel, so all tenant
+    // accounting lands on the reader's host scheduler. Conservation: what
+    // stays charged (bytes - uncharged) is exactly what completing legs
+    // delivered — the winner's payload plus any loser that outran its
+    // cancel (counted client-side as wasted). A cancelled leg's partial
+    // delivery is charged on the way in and un-charged at the abort, never
+    // half-counted.
+    std::uint64_t charged = 0, uncharged = 0, cancelled = 0;
+    for (std::uint32_t i = 1; i <= src.hosts; ++i) {
+      const core::DaemonStats s = c->daemon("host" + std::to_string(i))->stats_snapshot();
+      cancelled += s.hedge_cancelled;
+      for (const core::QosTenantStats& t : s.tenants) {
+        charged += t.bytes;
+        uncharged += t.uncharged;
+      }
     }
+    EXPECT_EQ(charged - uncharged, received + client->hedge_wasted_bytes());
+    if (cancelled > 0) {
+      EXPECT_GT(uncharged, 0u);
+    }
+    expect_no_inflight(*c, src.hosts);
   }
-  EXPECT_EQ(charged - uncharged, received + client->hedge_wasted_bytes());
-  if (cancelled > 0) EXPECT_GT(uncharged, 0u);
-  expect_no_inflight(*c, 3);
 }
 
 // ---- hedge fault points (seeded probabilistic schedules) ----------------

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "apps/cluster.h"
@@ -21,6 +22,7 @@
 #include "trace/aggregate.h"
 #include "trace/chrome_export.h"
 #include "trace/tracer.h"
+#include "testutil.h"
 
 namespace vread::trace {
 namespace {
@@ -203,6 +205,41 @@ TEST(TraceCopies, VReadMovesEveryByteTwice) {
   // No virtual-network copies at all on the shortcut path.
   EXPECT_FALSE(s.total.copy_by_site.count("copy vhost-pull"));
   EXPECT_FALSE(s.total.copy_by_site.count("copy skb->app"));
+}
+
+TEST(TraceCopies, TcpPeerFetchRecordsBothNetCopies) {
+  TracerGuard g;
+  // The file lives on host1 only. client2's read seeds host2's cache;
+  // client3's read is then served chunk by chunk from host2 over TCP, and
+  // each fetched byte pays one send copy on host2 and one receive copy on
+  // host3 — the same copies the owner-streamed TCP path records.
+  auto c = testutil::racked_bed(3, 3, 0, 0);
+  const std::uint64_t size = 8 * 1024 * 1024;
+  c->preload_file("/f", size, 78, {{"datanode1"}});
+  core::DaemonConfig dc;
+  dc.transport = core::VReadDaemon::Transport::kTcp;
+  dc.workers = 4;
+  dc.peer_cache.enabled = true;
+  c->enable_vread(testutil::validated(dc));
+  c->drop_all_caches();
+  DfsIoResult seed, r;
+  c->sim().spawn(TestDfsIo::read(*c, "client2", "/f", 1 << 20, seed));
+  c->sim().run();
+  tracer().enable(c->sim());
+  c->sim().spawn(TestDfsIo::read(*c, "client3", "/f", 1 << 20, r));
+  c->sim().run();
+  tracer().disable();
+  EXPECT_EQ(r.checksum, Buffer::deterministic(78, 0, size).checksum());
+  const std::uint64_t fetched = c->daemon("host3")->stats_snapshot().peer_fetch_bytes;
+  ASSERT_GT(fetched, 0u);
+  std::uint64_t tx = 0, rx = 0;
+  for (const Span& s : tracer().spans()) {
+    if (s.kind != SpanKind::kCopy) continue;
+    if (std::string_view(s.name) == "copy vread-net-tx") tx += s.bytes;
+    if (std::string_view(s.name) == "copy vread-net-rx") rx += s.bytes;
+  }
+  EXPECT_EQ(tx, fetched);
+  EXPECT_EQ(rx, fetched);
 }
 
 // -------------------------------------------------------- fault markers
