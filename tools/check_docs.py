@@ -16,7 +16,12 @@ Checks, over every tracked *.md file:
   4. every field of every configuration struct (DaemonConfig, QosConfig,
      ClusterConfig, TopologyConfig, RouteConfig, FlowSimConfig, ...) is
      documented in docs/CONFIG.md — the field names are parsed straight
-     out of the headers, so a new knob can't ship undocumented either.
+     out of the headers, so a new knob can't ship undocumented either;
+  5. DESIGN.md names no VReadDaemon member that is gone: every backticked
+     `VReadDaemon::name` must be a member parsed out of the class in
+     src/core/vread_daemon.h, and every backticked bare snake_case name
+     (`local_read`, `stream_chunks()`) must still be an identifier in the
+     code, so a rename can't leave the design doc describing dead code.
 
 Exit code 0 = clean; 1 = problems (all printed).
 """
@@ -207,8 +212,8 @@ def strip_comments(text):
 
 
 def struct_body(text, name):
-    """The brace-matched body of the FIRST `struct <name> {...}` in text."""
-    m = re.search(r"struct\s+" + re.escape(name) + r"\s*\{", text)
+    """The brace-matched body of the FIRST `struct|class <name> {...}` in text."""
+    m = re.search(r"(?:struct|class)\s+" + re.escape(name) + r"\s*\{", text)
     if not m:
         return None
     depth, i = 1, m.end()
@@ -248,6 +253,91 @@ def struct_fields(body):
     return fields
 
 
+def blank_nested(body):
+    """`body` with the contents of every nested brace pair blanked out."""
+    flat, depth = [], 0
+    for ch in body:
+        if ch == "{":
+            depth += 1
+            flat.append("{")
+        elif ch == "}":
+            depth -= 1
+            flat.append("}")
+        else:
+            flat.append(ch if depth == 0 else " ")
+    return "".join(flat)
+
+
+def class_members(body):
+    """Names a class body declares: functions, data members, nested types
+    and aliases (nested types' own members excluded)."""
+    names = set()
+    for stmt in re.split(r"[;}]", blank_nested(body)):
+        stmt = re.sub(r"\b(?:public|private|protected)\s*:", "", stmt).strip()
+        m = re.match(r"(?:struct|class|enum(?:\s+class)?|using)\s+(\w+)", stmt)
+        if m:
+            names.add(m.group(1))
+            continue
+        m = re.search(r"(\w+)\s*\(", stmt)
+        if m:
+            names.add(m.group(1))
+            continue
+        m = re.search(r"(\w+)\s*$", re.split(r"[={]", stmt, 1)[0])
+        if m:
+            names.add(m.group(1))
+    return names
+
+
+CODE_DIRS = ("src", "tests", "bench", "tools", "examples", "perfbench")
+CODE_SUFFIXES = (".h", ".cc", ".py", ".txt", ".json")
+
+
+def code_identifiers():
+    """Every identifier in the code (comments stripped from C++ sources),
+    plus every file stem, so bench/test target names count too."""
+    words = set()
+    for sub in CODE_DIRS:
+        for p in (ROOT / sub).rglob("*"):
+            if p.suffix not in CODE_SUFFIXES or "build" in p.parts:
+                continue
+            if p.resolve() == pathlib.Path(__file__).resolve():
+                continue  # this file's own examples keep no name alive
+            text = p.read_text()
+            if p.suffix in (".h", ".cc"):
+                text = strip_comments(text)
+            words.update(re.findall(r"[A-Za-z_]\w*", text))
+            words.add(p.stem)
+    return words
+
+
+DESIGN_TICK_RE = re.compile(r"`([^`\n]+)`")
+BARE_NAME_RE = re.compile(r"([a-z][a-z0-9]*_[a-z0-9_]*)(?:\(\))?")
+
+
+def check_daemon_member_docs(problems):
+    header = ROOT / "src" / "core" / "vread_daemon.h"
+    design = ROOT / "DESIGN.md"
+    body = struct_body(strip_comments(header.read_text()), "VReadDaemon")
+    if body is None:
+        problems.append("src/core/vread_daemon.h: class VReadDaemon not found")
+        return
+    members = class_members(body)
+    words = code_identifiers()
+    for tick in DESIGN_TICK_RE.findall(design.read_text()):
+        for name in re.findall(r"\bVReadDaemon::(\w+)", tick):
+            if name not in members:
+                problems.append(
+                    f"DESIGN.md: `{tick}` names no member of VReadDaemon "
+                    f"in src/core/vread_daemon.h"
+                )
+        m = BARE_NAME_RE.fullmatch(tick)
+        if m and m.group(1) not in words:
+            problems.append(
+                f"DESIGN.md: `{tick}` is no identifier in the code "
+                f"(a renamed or deleted member?)"
+            )
+
+
 def check_config_docs(problems):
     doc_path = ROOT / "docs" / "CONFIG.md"
     if not doc_path.exists():
@@ -278,6 +368,7 @@ def main():
     check_schema_versions(problems)
     check_metric_docs(problems)
     check_config_docs(problems)
+    check_daemon_member_docs(problems)
     for path in md_files():
         text = path.read_text()
         check_links(path, text, problems)
