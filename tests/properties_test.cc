@@ -9,6 +9,7 @@
 
 #include <map>
 #include <tuple>
+#include <type_traits>
 
 #include "apps/cluster.h"
 #include "apps/dfsio.h"
@@ -33,12 +34,23 @@ using mem::Buffer;
 // ---------------------------------------------------------------------------
 
 struct PathCase {
+  PathCase(bool vread, bool remote, core::VReadDaemon::Transport transport,
+           std::uint64_t file_bytes, std::uint64_t buffer)
+      : vread(vread), remote(remote), transport(transport),
+        file_bytes(file_bytes), buffer(buffer) {}
+
   bool vread;
   bool remote;                       // data on the remote datanode only
+  // gtest names each case by dumping the object's bytes. An explicit zero
+  // where alignment padding would sit keeps those names the same from run
+  // to run; uninitialized padding made them vary with stack contents.
+  std::uint16_t zero = 0;
   core::VReadDaemon::Transport transport;
   std::uint64_t file_bytes;
   std::uint64_t buffer;
 };
+static_assert(std::has_unique_object_representations_v<PathCase>,
+              "PathCase must have no padding bytes");
 
 class IntegrityMatrix : public ::testing::TestWithParam<PathCase> {};
 
