@@ -1,11 +1,31 @@
 #include "apps/cluster.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "mem/buffer.h"
 
 namespace vread::apps {
 
+namespace {
+// One fixed malloc policy for every run (DESIGN.md §10). glibc's default
+// mmap threshold is dynamic: it starts at 128 KiB and rises to the size of
+// the largest mmapped block freed so far. Whether the read path's
+// transient 256 KiB - 1 MiB buffers came from the heap or from a fresh
+// mmap (and its page faults) then depended on whether set-up happened to
+// free a large buffer -- which shared preloads no longer do.
+void fix_malloc_policy() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 32 * 1024 * 1024);
+  mallopt(M_TRIM_THRESHOLD, 64 * 1024 * 1024);
+#endif
+}
+}  // namespace
+
 Cluster::Cluster(ClusterConfig config)
     : config_(config), lan_(sim_, config.link) {
+  fix_malloc_policy();
   if (config_.racks.hosts_per_rack > 0) lan_.configure_racks(config_.racks);
   net_ = std::make_unique<virt::VirtualNetwork>(sim_, lan_, costs_);
 }

@@ -1361,7 +1361,12 @@ sim::Task remote_wire_hop(sim::Simulation* sim, hw::Lan* lan, hw::HostId src,
 
 sim::Task VReadDaemon::serve_remote_read(virt::ShmChannel& channel, hw::ThreadId tid,
                                          const virt::ShmRequest& req, Descriptor& d) {
-  if (obs_ts_) obs_ts_->record_block_access(d.block_name, req.len);
+  if (obs_ts_) {
+    // In-range bytes only, as stream_chunks records them.
+    const std::uint64_t size = d.inode.size;
+    obs_ts_->record_block_access(
+        d.block_name, req.offset >= size ? 0 : std::min(req.len, size - req.offset));
+  }
   CoalesceMap::FillPtr fill;
   if (coalesce_ && req.coalesce) {
     // Waiter path: a fill of this window is already crossing the wire;

@@ -364,7 +364,7 @@ void SimFs::append_raw(Inode& ino, const mem::Buffer& data) {
   }
   std::uint64_t written = 0;
   for_each_segment(ino, ino.size, data.size(), [&](std::uint64_t img_off, std::uint64_t n) {
-    image_->write(img_off, data.data() + written, n);
+    image_->write(img_off, data.slice(written, n));  // whole chunks are shared, not copied
     written += n;
   });
   ino.size += data.size();

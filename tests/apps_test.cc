@@ -11,6 +11,8 @@
 #include "apps/sqoop.h"
 #include "apps/table.h"
 #include "core/vread_daemon.h"
+#include "fs/disk_image.h"
+#include "fs/simfs.h"
 #include "mem/buffer.h"
 
 namespace vread::apps {
@@ -78,6 +80,27 @@ TEST(ClusterData, PreloadPlacementAndIntegrity) {
   ASSERT_TRUE(ino.has_value());
   EXPECT_EQ(dn2->vm().fs().read(*ino, 0, 100),
             Buffer::deterministic(5, 4 * 1024 * 1024, 100));
+}
+
+TEST(ClusterData, ReplicasOfAPreloadedBlockShareStorage) {
+  Bed bed;
+  Cluster& c = bed.cluster;
+  c.preload_file("/r", 1024 * 1024, 6, {{"datanode1", "datanode2"}});
+  const std::string path = hdfs::DataNode::block_path(c.namenode().all_blocks("/r")[0].name);
+  constexpr std::uint64_t kChunk = fs::DiskImage::kChunkSize;
+  // Each replica's first whole image chunk inside the block file, rebased
+  // to the address its file byte 0 would have in the same storage.
+  auto storage_base = [&](const std::string& dn_id) {
+    virt::Vm& vm = c.datanode(dn_id)->vm();
+    const fs::Inode ino =
+        fs::layout::read_inode(*vm.disk_image(), vm.fs().superblock(), *vm.fs().lookup(path));
+    const std::uint64_t start = std::uint64_t{ino.extents[0].start_block} * fs::kFsBlockSize;
+    const std::uint64_t chunk_start = (start + kChunk - 1) / kChunk * kChunk;
+    const Buffer chunk = vm.disk_image()->read(chunk_start, kChunk);
+    EXPECT_EQ(chunk, Buffer::deterministic(6, chunk_start - start, kChunk));
+    return chunk.data() - (chunk_start - start);
+  };
+  EXPECT_EQ(storage_base("datanode1"), storage_base("datanode2"));
 }
 
 TEST(ClusterRun, RunJobTimesOut) {

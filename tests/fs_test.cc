@@ -43,7 +43,73 @@ TEST(DiskImage, SparseAllocation) {
   DiskImage img(1ULL << 40);  // 1 TB logical
   img.write(1ULL << 39, reinterpret_cast<const std::uint8_t*>("x"), 1);
   EXPECT_LE(img.allocated_bytes(), 2 * DiskImage::kChunkSize);
+  // An adopted chunk plus a partial edge chunk: two more, wherever they land.
+  img.write(1ULL << 38, Buffer::deterministic(1, 0, DiskImage::kChunkSize + 1));
+  EXPECT_LE(img.allocated_bytes(), 4 * DiskImage::kChunkSize);
   EXPECT_EQ(img.size(), 1ULL << 40);
+}
+
+constexpr std::uint64_t kChunk = DiskImage::kChunkSize;
+
+TEST(DiskImage, AdoptsWholeChunksAtAnUnalignedSourceOffset) {
+  DiskImage img(8 * kChunk);
+  // Source byte 300 lands on chunk 1's first byte: chunks 1-3 are whole
+  // slices of the source at an unaligned offset, chunks 0 and 4 are edges.
+  const Buffer src = Buffer::deterministic(5, 0, 3 * kChunk + 1000);
+  const std::uint64_t at = kChunk - 300;
+  img.write(at, src);
+  const Buffer back = img.read(at, src.size());
+  ASSERT_EQ(back.size(), src.size());
+  for (std::uint64_t i = 0; i < src.size(); ++i) {
+    if (back[i] != Buffer::byte_at(5, i)) FAIL() << "byte " << i;
+  }
+  const Buffer chunk2 = img.read(2 * kChunk, kChunk);
+  EXPECT_EQ(chunk2.data(), src.data() + 300 + kChunk);  // shared, not copied
+  EXPECT_EQ(img.allocated_bytes(), 5 * kChunk);
+}
+
+TEST(DiskImage, PartialEdgeChunksMergeWithBytesAlreadyThere) {
+  DiskImage img(4 * kChunk);
+  const Buffer old_bytes = Buffer::deterministic(1, 0, 2 * kChunk);
+  img.write(0, old_bytes);
+  // Half of chunk 0 and half of chunk 1 (both edges), then an edge into the
+  // never-written chunk 2, whose other bytes stay zero.
+  const Buffer mid = Buffer::deterministic(2, 0, kChunk);
+  img.write(kChunk / 2, mid);
+  img.write(2 * kChunk + 10, Buffer::deterministic(3, 0, 20));
+
+  EXPECT_EQ(img.read(0, kChunk / 2), old_bytes.slice(0, kChunk / 2));
+  EXPECT_EQ(img.read(kChunk / 2, kChunk), mid);
+  EXPECT_EQ(img.read(3 * kChunk / 2, kChunk / 2), old_bytes.slice(3 * kChunk / 2, kChunk / 2));
+  EXPECT_EQ(img.read(2 * kChunk, 10), Buffer(10));
+  EXPECT_EQ(img.read(2 * kChunk + 10, 20), Buffer::deterministic(3, 0, 20));
+  EXPECT_EQ(img.read(2 * kChunk + 30, kChunk - 30), Buffer(kChunk - 30));
+}
+
+TEST(DiskImage, WriteToOneImageLeavesASharedPreloadUnchanged) {
+  DiskImage a(4 * kChunk), b(4 * kChunk);
+  const Buffer preload = Buffer::deterministic(7, 0, 2 * kChunk);
+  a.write(0, preload);
+  b.write(0, preload);
+  const Buffer in_a = a.read(0, kChunk), in_b = b.read(0, kChunk);
+  EXPECT_EQ(in_a.data(), in_b.data());  // one copy
+
+  const std::uint8_t patch[3] = {1, 2, 3};
+  a.write(100, patch, sizeof patch);                          // raw bytes
+  a.write(kChunk, Buffer::deterministic(8, 0, kChunk));       // whole chunk
+  EXPECT_EQ(b.read(0, preload.size()), preload);
+  EXPECT_EQ(a.read(100, 3), Buffer(patch, 3));
+  EXPECT_EQ(a.read(kChunk, kChunk), Buffer::deterministic(8, 0, kChunk));
+  EXPECT_EQ(a.read(0, 100), preload.slice(0, 100));
+}
+
+TEST(DiskImage, MutatingTheSourceAfterWriteLeavesTheImageUnchanged) {
+  DiskImage img(4 * kChunk);
+  Buffer src = Buffer::deterministic(9, 0, 2 * kChunk);
+  img.write(0, src);
+  src[5] ^= 0xff;
+  src.data()[kChunk + 1] ^= 0xff;
+  EXPECT_EQ(img.read(0, 2 * kChunk), Buffer::deterministic(9, 0, 2 * kChunk));
 }
 
 TEST(DiskImage, IdsAreUnique) {

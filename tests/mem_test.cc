@@ -21,6 +21,18 @@ TEST(Buffer, DeterministicContentIsOffsetAddressable) {
   EXPECT_EQ(whole.slice(500, 500), tail);
 }
 
+TEST(Buffer, DeterministicMatchesByteAtAtOddOffsetsAndLengths) {
+  for (const std::uint64_t offset : {0ULL, 1ULL, 7ULL, 4093ULL, (1ULL << 40) + 3}) {
+    for (const std::size_t len : {0, 1, 7, 8, 9, 4097}) {
+      const Buffer b = Buffer::deterministic(11, offset, len);
+      ASSERT_EQ(b.size(), len);
+      for (std::size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(b[i], Buffer::byte_at(11, offset + i)) << offset << "+" << i;
+      }
+    }
+  }
+}
+
 TEST(Buffer, DifferentSeedsDiffer) {
   Buffer a = Buffer::deterministic(1, 0, 256);
   Buffer b = Buffer::deterministic(2, 0, 256);

@@ -20,6 +20,7 @@
 #include "apps/dfsio.h"
 #include "cluster/flowsim.h"
 #include "cluster/route.h"
+#include "core/libvread.h"
 #include "core/qos.h"
 #include "core/vread_daemon.h"
 #include "hw/network.h"
@@ -842,6 +843,34 @@ TEST(Plane, ScrapesClusterRunAndDumpsTroubledFlightsOnly) {
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_NE(paths[0].find("host1"), std::string::npos);
   std::remove(paths[0].c_str());
+}
+
+sim::Task vread_at(core::LibVread* lib, std::string block, std::uint64_t offset,
+                   std::uint64_t len, Status* status) {
+  std::uint64_t vfd = 0;
+  co_await lib->vread_open(block, "datanode2", vfd, *status);
+  if (!status->ok()) co_return;
+  co_await lib->vread_seek(vfd, offset, *status);
+  mem::Buffer out;
+  co_await lib->vread_read(vfd, len, out, *status);
+  Status closed;
+  co_await lib->vread_close(vfd, closed);
+}
+
+TEST(Plane, RemoteReadPastBlockEndFeedsOnlyInRangeBytes) {
+  testutil::RegistryGuard guard;
+  constexpr std::uint64_t kFile = 1 << 20;
+  auto c = testutil::remote_bed(kFile, 3);
+  c->enable_vread();
+  const SpaceSaving& hot = c->enable_obs().recorder().hot_blocks();
+  const std::string block = c->namenode().all_blocks("/f")[0].name;
+  Status st;
+  c->run_job(vread_at(c->libvread("client"), block, kFile - 1000, 64 * 1024, &st));
+  EXPECT_TRUE(st.ok()) << st.to_string();
+  EXPECT_EQ(hot.total(), 1000u);
+  // Wholly past the end: nothing in range, nothing fed.
+  c->run_job(vread_at(c->libvread("client"), block, 2 * kFile, 4096, &st));
+  EXPECT_EQ(hot.total(), 1000u);
 }
 
 }  // namespace

@@ -59,7 +59,48 @@ def normalize(path, repo_root):
     return p[len(root):]
 
 
-def main():
+def collect(docs, prefixes, repo_root):
+    """file -> {line_number -> hit} for the gated sources in gcov JSON docs;
+    a line is hit if ANY doc (translation unit) executed it."""
+    lines = {}
+    for data in docs:
+        for f in data.get("files", []):
+            rel = normalize(f.get("file", ""), repo_root)
+            if rel is None or not any(rel.startswith(p + "/") or rel == p for p in prefixes):
+                continue
+            per = lines.setdefault(rel, {})
+            for ln in f.get("lines", []):
+                n = ln.get("line_number")
+                per[n] = per.get(n, False) or ln.get("count", 0) > 0
+    return lines
+
+
+def summarize(lines, prefixes):
+    """Returns (report text, aggregate %). A file with no instrumented lines
+    (GCC's gcov marks coroutine bodies non-executable, so a coroutine-only
+    file has none) is listed as 0/0 and left out of the total; the
+    aggregate is None when no file has any."""
+    width = max(len(rel) for rel in lines)
+    out = []
+    tot_lines = tot_hit = 0
+    for rel in sorted(lines):
+        per = lines[rel]
+        if not per:
+            out.append(f"{rel:<{width}}  {0:>5}/{0:<5}  (no instrumented lines)")
+            continue
+        hit = sum(1 for v in per.values() if v)
+        out.append(f"{rel:<{width}}  {hit:>5}/{len(per):<5}  {100.0 * hit / len(per):6.1f}%")
+        tot_lines += len(per)
+        tot_hit += hit
+    pct = 100.0 * tot_hit / tot_lines if tot_lines else None
+    out.append("-" * (width + 22))
+    total = f"{pct:6.1f}%" if pct is not None else "(no instrumented lines)"
+    out.append(f"{'TOTAL (' + ', '.join(prefixes) + ')':<{width}}  "
+               f"{tot_hit:>5}/{tot_lines:<5}  {total}")
+    return "\n".join(out), pct
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--build-dir", default="build-coverage")
     ap.add_argument(
@@ -72,7 +113,7 @@ def main():
     ap.add_argument("--fail-under", type=float, default=None,
                     help="fail when aggregate line coverage %% is below this")
     ap.add_argument("--output", default=None, help="also write the summary here")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     prefixes = args.prefix or ["src/core", "src/virt"]
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -83,47 +124,22 @@ def main():
               file=sys.stderr)
         return 2
 
-    # file -> {line_number -> hit (bool union across TUs)}
-    lines = {}
-    for gcda in gcdas:
-        data = run_gcov(gcda)
-        for f in data.get("files", []):
-            rel = normalize(f.get("file", ""), repo_root)
-            if rel is None or not any(rel.startswith(p + "/") or rel == p for p in prefixes):
-                continue
-            per = lines.setdefault(rel, {})
-            for ln in f.get("lines", []):
-                n = ln.get("line_number")
-                per[n] = per.get(n, False) or ln.get("count", 0) > 0
-
+    lines = collect((run_gcov(g) for g in gcdas), prefixes, repo_root)
     if not lines:
         print("coverage_gate: no gated sources appear in the gcov output",
               file=sys.stderr)
         return 2
 
-    rows = []
-    tot_lines = tot_hit = 0
-    for rel in sorted(lines):
-        per = lines[rel]
-        hit = sum(1 for v in per.values() if v)
-        rows.append((rel, hit, len(per), 100.0 * hit / len(per)))
-        tot_lines += len(per)
-        tot_hit += hit
-    pct = 100.0 * tot_hit / tot_lines
-
-    width = max(len(r[0]) for r in rows)
-    out = []
-    for rel, hit, total, p in rows:
-        out.append(f"{rel:<{width}}  {hit:>5}/{total:<5}  {p:6.1f}%")
-    out.append("-" * (width + 22))
-    out.append(f"{'TOTAL (' + ', '.join(prefixes) + ')':<{width}}  "
-               f"{tot_hit:>5}/{tot_lines:<5}  {pct:6.1f}%")
-    summary = "\n".join(out)
+    summary, pct = summarize(lines, prefixes)
     print(summary)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(summary + "\n")
 
+    if pct is None and args.fail_under is not None:
+        print("\ncoverage_gate: FAIL — no gated file has instrumented lines",
+              file=sys.stderr)
+        return 1
     if args.fail_under is not None and pct < args.fail_under:
         print(f"\ncoverage_gate: FAIL — aggregate {pct:.1f}% is below the "
               f"{args.fail_under:.1f}% floor", file=sys.stderr)
